@@ -12,20 +12,14 @@
 //   - read latency percentiles (LATENCY rows, unit=read);
 //   - update-visibility latency: oldest buffered update → published
 //     (LATENCY rows, unit=batch, system serve_vis_rN);
-//   - VERIFY rows: the final snapshot must equal the engine's root store.
-//
-// A second section A/Bs the merge fold itself: absorbing the coalesced
-// differential into a headroom-cloned base in destination home-cell order
-// (relation_ops.h AbsorbIntoClustered) vs arrival order — the off-hot-path
-// configuration PR 4's in-absorb measurements could not reach. SPEEDUP
-// serve_merge reports ordered vs arrival; measured at 0.87–0.97x on this
-// container (see the relation_ops.h note), which is why
-// serve::MergePolicy::clustered_absorb defaults to false.
+//   - VERIFY rows: the final snapshot must equal the engine's root store;
+//   - SERVE stats: serving counters, including how many merged base
+//     generations were built by cloning rather than by folding into the
+//     recycled spare.
 //
 // Knobs: FIVM_BENCH_UPDATES, FIVM_BENCH_BATCH, FIVM_BENCH_BASE,
 // FIVM_BENCH_REPS, FIVM_BENCH_READ_RATE (per-reader lookups/s; 0 =
-// unpaced saturation), FIVM_BENCH_MERGE_BASE, FIVM_BENCH_MERGE_SEGKEYS,
-// plus the global FIVM_BENCH_SCALE.
+// unpaced saturation), plus the global FIVM_BENCH_SCALE.
 
 #include <pthread.h>
 #include <time.h>
@@ -138,6 +132,7 @@ std::vector<Update> MakeStream(size_t n, uint64_t seed) {
 struct ArmResult {
   double writer_cpu_s = 0;
   double writer_wall_s = 0;
+  uint64_t cloned_generations = 0;
 };
 
 /// One serving run: writer streams `stream` in `batch`-sized published
@@ -244,10 +239,12 @@ ArmResult RunArm(const std::vector<Update>& stream, size_t base_rows,
     auto snap = server.Acquire();
     bool equal = ContentEquals(snap.Materialize(), f.engine->result());
     std::printf("VERIFY %s: final snapshot %s engine root store "
-                "(size %zu, %llu merges)\n",
+                "(size %zu, %llu merges, %llu clones)\n",
                 name, equal ? "==" : "!=", snap.Size(),
-                static_cast<unsigned long long>(server.MergeCount()));
+                static_cast<unsigned long long>(server.MergeCount()),
+                static_cast<unsigned long long>(server.ClonedGenerations()));
   }
+  r.cloned_generations = server.ClonedGenerations();
   return r;
 }
 
@@ -278,6 +275,7 @@ void RunServingArms() {
   auto& reg = obs::MetricRegistry::Default();
 
   std::vector<std::vector<double>> cpu(3), wall_s(3);
+  uint64_t cloned_generations = 0;
   obs::Histogram* read_hist[3];
   obs::Histogram* vis_hist[3];
   const char* arm_name[] = {"serve_r0", "serve_r1", "serve_r4"};
@@ -297,6 +295,7 @@ void RunServingArms() {
                  arm_name[a]);
       cpu[a].push_back(r.writer_cpu_s);
       wall_s[a].push_back(r.writer_wall_s);
+      cloned_generations += r.cloned_generations;
     }
   }
 
@@ -325,13 +324,15 @@ void RunServingArms() {
   }
 
   // Serving counters, summed over all arms and reps (the CI smoke asserts
-  // merges and differential hits are exercised, not just the merged base).
-  std::printf("SERVE stats: publishes=%llu merges=%llu diff_hits=%llu "
-              "base_hits=%llu reclaimed_generations=%llu\n",
+  // merges and differential hits are exercised, not just the merged base,
+  // and that clones < merges: most merges fold into the recycled spare).
+  std::printf("SERVE stats: publishes=%llu merges=%llu clones=%llu "
+              "diff_hits=%llu base_hits=%llu reclaimed_generations=%llu\n",
               static_cast<unsigned long long>(
                   reg.GetCounter("serve.publishes")->Value()),
               static_cast<unsigned long long>(
                   reg.GetCounter("serve.merges")->Value()),
+              static_cast<unsigned long long>(cloned_generations),
               static_cast<unsigned long long>(
                   reg.GetCounter("serve.diff_hits")->Value()),
               static_cast<unsigned long long>(
@@ -340,89 +341,10 @@ void RunServingArms() {
                   reg.GetCounter("serve.reclaimed_generations")->Value()));
 }
 
-/// A/B of the merge fold: clone-with-headroom then bulk-absorb the
-/// coalesced differential, in home-cell order vs arrival order. Replays
-/// the exact fold the server's MergeImpl runs, isolated from serving.
-void RunMergeAB() {
-  const int64_t scale = BenchScale();
-  const size_t base_rows =
-      static_cast<size_t>(EnvInt("FIVM_BENCH_MERGE_BASE", 200000 * scale));
-  const size_t seg_keys =
-      static_cast<size_t>(EnvInt("FIVM_BENCH_MERGE_SEGKEYS", 4000));
-  const size_t segments = 6;
-  const size_t reps = static_cast<size_t>(EnvInt("FIVM_BENCH_REPS", 3)) * 2 + 1;
-
-  PrintHeader("bench_serve: merge fold, home-cell-ordered vs arrival absorb");
-  std::printf("base=%zu rows, %zu segments x %zu keys, %zu interleaved reps "
-              "(median)\n",
-              base_rows, segments, seg_keys, reps);
-
-  util::Rng rng(77);
-  Rel base(Schema{0, 1});
-  base.Reserve(base_rows);
-  for (size_t i = 0; i < base_rows; ++i) {
-    base.Add(Tuple::Ints({static_cast<int64_t>(i), rng.UniformInt(0, 999)}),
-             1);
-  }
-  // Segments: half updates to existing keys, half fresh keys — the shape a
-  // group-by serving store's differential takes under churn.
-  std::vector<Rel> segs;
-  for (size_t s = 0; s < segments; ++s) {
-    Rel seg(Schema{0, 1});
-    seg.Reserve(seg_keys);
-    for (size_t i = 0; i < seg_keys; ++i) {
-      int64_t key = rng.Bernoulli(0.5)
-                        ? rng.UniformInt(0, static_cast<int64_t>(base_rows) - 1)
-                        : static_cast<int64_t>(base_rows) + rng.UniformInt(0, 1 << 20);
-      seg.Add(Tuple::Ints({key, rng.UniformInt(0, 999)}), 1);
-    }
-    segs.push_back(std::move(seg));
-  }
-
-  auto coalesce = [&] {
-    Rel diff(base.schema());
-    diff.Reserve(segments * seg_keys);
-    for (const Rel& s : segs) AbsorbInto(diff, s);
-    return diff;
-  };
-
-  std::vector<double> ordered_s, arrival_s;
-  Rel check_ordered, check_arrival;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    for (int mode = 0; mode < 2; ++mode) {
-      Rel diff = coalesce();
-      util::Timer t;
-      Rel next(base, diff.size());
-      if (mode == 0) {
-        AbsorbIntoClustered(next, std::move(diff));
-      } else {
-        AbsorbInto(next, std::move(diff));
-      }
-      (mode == 0 ? ordered_s : arrival_s).push_back(t.ElapsedSeconds());
-      if (rep == 0) {
-        (mode == 0 ? check_ordered : check_arrival) = std::move(next);
-      }
-    }
-  }
-
-  bool equal = ContentEquals(check_ordered, check_arrival);
-  std::printf("VERIFY serve_merge: ordered fold %s arrival fold "
-              "(%zu keys)\n",
-              equal ? "==" : "!=", check_ordered.size());
-  double om = Median(ordered_s), am = Median(arrival_s);
-  std::printf("merge fold medians: ordered=%.1fms arrival=%.1fms\n",
-              om * 1e3, am * 1e3);
-  if (om > 0) {
-    std::printf("SPEEDUP serve_merge: ordered vs arrival absorb = %.2fx\n",
-                am / om);
-  }
-}
-
 }  // namespace
 }  // namespace fivm::bench
 
 int main() {
   fivm::bench::RunServingArms();
-  fivm::bench::RunMergeAB();
   return 0;
 }

@@ -134,6 +134,10 @@ class Relation {
   /// the DeltaBatcher reports as coalesced-away keys.
   size_t KeyPoolSize() const { return keys_.size(); }
 
+  /// Entry-pool slots allocated: a relation absorbs up to
+  /// KeyPoolCapacity() - KeyPoolSize() new keys without regrowing its pool.
+  size_t KeyPoolCapacity() const { return keys_.capacity(); }
+
   /// Pre-sizes the entry pool and the primary index for `n` keys, so a
   /// bulk of Add() calls proceeds without rehashing or reallocating.
   void Reserve(size_t n) {

@@ -563,32 +563,6 @@ void AbsorbInto(Relation<Ring>& store, Relation<Ring>&& delta) {
   }
 }
 
-/// Forced home-cell-clustered absorb, bypassing the ClusteredAbsorbMinKeys
-/// cutover: consumes `delta`, absorbing its entries in ascending
-/// destination home-group-range order regardless of the runtime knob
-/// (falling back to arrival order only when the destination is one
-/// cache-resident bucket anyway). This is the merge path of the versioned
-/// read layer (src/serve/): the caller folds a staged differential into a
-/// presized clone of the published base *off the serving hot path*, which
-/// is the "producer can afford the ordering" shape the in-absorb
-/// measurements (see the note below) could never reach. Measured there
-/// anyway as a loss — see the PR 8 entry in the note below and
-/// serve::MergePolicy::clustered_absorb (default off). Schemas must match
-/// positionally — merge operates on clones of one store.
-template <typename Ring>
-void AbsorbIntoClustered(Relation<Ring>& store, Relation<Ring>&& delta) {
-  assert(store.schema() == delta.schema());
-  std::vector<uint32_t> order;
-  if (!HomeClusteredAbsorbOrder(store, delta, order)) {
-    AbsorbInto(store, std::move(delta));
-    return;
-  }
-  auto pool = delta.TakePool();
-  for (uint32_t s : order) {
-    store.Add(std::move(pool.keys[s]), std::move(pool.payloads[s]));
-  }
-}
-
 /// True when `a` and `b` hold the same key → payload mapping: schemas equal
 /// as sets, same live-key count, and per key the payloads agree as ring
 /// values (a − b is the additive identity, which also tolerates
@@ -621,17 +595,11 @@ bool ContentEquals(const Relation<Ring>& a, const Relation<Ring>& b) {
 // caution: "X is faster" claims about this substrate must name what the
 // timed region includes.
 //
-// PR 8 put the last open variant to rest: the serving layer's merge fold
-// (src/serve/) absorbs a coalesced differential into a clone of the
-// published base that is presized at its final index capacity — ordering
-// off the hot path, zero growth rehashes, the most favorable shape
-// in-absorb clustering can be given. bench_serve's fold A/B (medians of 15
-// interleaved reps) measured AbsorbIntoClustered at 0.87–0.97x arrival
-// order for 224k-key and 1.1M-key folds on this container: the partition
-// pass plus the permuted gather over the source pool still costs slightly
-// more than the clustered destination writes save. MergePolicy ships with
-// clustered_absorb=false accordingly; the mechanism stays (tests pin it
-// on, the knob re-opens the question per deployment).
+// The serving merge's fold into a presized base clone — off the hot path,
+// no growth rehash, the most favorable shape clustering could get — also
+// lost: 0.87–0.97x arrival order at 224k/1.1M-key folds (medians of 15
+// interleaved reps). Merges now fold in place into a recycled base
+// generation (src/serve/), so that shape and its forced variant are gone.
 
 /// Converts a relation between rings by mapping payloads through `fn`.
 template <typename ToRing, typename FromRing, typename Fn>

@@ -30,16 +30,6 @@ struct MergePolicy {
   size_t max_segments = 8;
   /// Total differential keys (summed over segments) that trigger a merge.
   size_t max_diff_keys = 4096;
-  /// Absorb the coalesced differential into the cloned base in destination
-  /// home-cell order (relation_ops.h AbsorbIntoClustered) instead of
-  /// arrival order. The merge path is the friendliest shape the ordering
-  /// can get — off the serving hot path, against a presized clone, no
-  /// growth rehash — and it still loses: bench_serve's fold A/B measures
-  /// ordered at 0.87–0.97x arrival (medians of 15 interleaved reps, 224k-
-  /// and 1.1M-key folds), the permuted source gather again costing about
-  /// what the destination locality saves. Default off; the knob remains
-  /// for re-measurement on other cache hierarchies.
-  bool clustered_absorb = false;
 };
 
 /// The concurrent read path over an IvmEngine's view stores (the serving
@@ -60,10 +50,20 @@ struct MergePolicy {
 ///    VersionSet, retires the old one, and advances the reclamation epoch;
 ///  - MergeStep()/MergeNow() (explicit, or StartBackgroundMerge's thread)
 ///    folds base ⊎ segments into the next generation off-lock: segments
-///    coalesce into one differential, the base clones with headroom
-///    (Relation's extra-capacity constructor — one final index capacity, no
-///    mid-merge rehash), and the differential bulk-absorbs in destination
-///    home-cell order (MergePolicy::clustered_absorb).
+///    coalesce into one differential, which is absorbed into the *spare* —
+///    the base generation the previous merge displaced, double-buffered
+///    against the installed one. The spare is generation g-1; absorbing
+///    the previous merge's differential (`last_fold`, which made g) and
+///    then this one makes it g+1, so a merge costs O(|differential|), not
+///    O(|base|). The spare is mutated only once no reader can reach it:
+///    the epoch rule that frees VersionSets (every set referencing it
+///    retired before MinPinned()) marks it drained. A merge clones the
+///    installed base instead — with a small fixed pool headroom — when
+///    there is no drained spare (the first merge, a spare still pinned by
+///    a long-lived snapshot or checkpoint, after Rebase() or an aborted
+///    install) or when the fold could overflow the spare's pool capacity.
+///    Memory therefore holds two base generations in steady state;
+///    ClonedGenerations() counts the clone path.
 ///
 /// Readers call Acquire() for an RAII Snapshot: pin an epoch slot
 /// (lock-free), load the current VersionSet, and read. Point lookups and
@@ -71,8 +71,8 @@ struct MergePolicy {
 /// immutable probes — and are wait-free: no lock, no refcount, no
 /// allocation on the lookup path (tests/zero_alloc_probe_test.cc proves
 /// the scalar-ring case). Retired VersionSets are freed only after every
-/// snapshot pinned at or before their retire epoch drains
-/// (serve/epoch.h has the full memory-order argument).
+/// snapshot pinned at or before their retire epoch drains, and outside the
+/// server lock (serve/epoch.h has the full memory-order argument).
 ///
 /// Threading contract: deltas + Publish() on one writer thread; merges on
 /// one merger thread at a time (serialized internally, so the background
@@ -136,11 +136,17 @@ class SnapshotServer {
       return static_cast<int64_t>(
           segment_count_.load(std::memory_order_relaxed));
     });
+    clones_gauge_token_ =
+        reg.RegisterGauge("serve.cloned_generations", [this] {
+          return static_cast<int64_t>(ClonedGenerations());
+        });
 
     auto* init = new VersionSet();
     init->stores.resize(nodes_.size());
+    folds_.resize(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
-      init->stores[i].base = MakeGeneration(Rel(engine_->store(nodes_[i])));
+      folds_[i].live = std::make_shared<Rel>(engine_->store(nodes_[i]));
+      init->stores[i].base = folds_[i].live;
     }
     current_.store(init, std::memory_order_seq_cst);
     engine_->SetStoreDeltaObserver(
@@ -165,6 +171,7 @@ class SnapshotServer {
     auto& reg = obs::MetricRegistry::Default();
     reg.UnregisterGauge("serve.pinned_epochs", pinned_gauge_token_);
     reg.UnregisterGauge("serve.segments", segments_gauge_token_);
+    reg.UnregisterGauge("serve.cloned_generations", clones_gauge_token_);
   }
 
   SnapshotServer(const SnapshotServer&) = delete;
@@ -369,6 +376,7 @@ class SnapshotServer {
       std::lock_guard<std::mutex> lk(mu_);
       return current_.load(std::memory_order_relaxed)->seq;
     }
+    Garbage garbage;  // freed after `lk` unlocks
     std::lock_guard<std::mutex> lk(mu_);
     const VersionSet* old = current_.load(std::memory_order_relaxed);
     auto* next = new VersionSet(*old);
@@ -388,7 +396,7 @@ class SnapshotServer {
     }
     stats_publishes_.fetch_add(1, std::memory_order_relaxed);
     obs_publishes_->Inc();
-    InstallLocked(next);
+    InstallLocked(next, garbage);
     return next->seq;
   }
 
@@ -401,12 +409,14 @@ class SnapshotServer {
   /// Folds every non-empty differential regardless of policy bounds.
   size_t MergeNow() { return MergeImpl(/*force=*/true); }
 
-  /// Frees retired VersionSets whose last possible reader has drained.
-  /// Publish and merge reclaim opportunistically; tests and the background
-  /// merger call this to reclaim without publishing.
+  /// Frees retired VersionSets and displaced generations whose last
+  /// possible reader has drained. Publish and merge reclaim
+  /// opportunistically; tests and the background merger call this to
+  /// reclaim without publishing.
   void Reclaim() {
+    Garbage garbage;
     std::lock_guard<std::mutex> lk(mu_);
-    ReclaimLocked();
+    ReclaimLocked(garbage);
   }
 
   /// Runs MergeStep (and reclamation) every `interval` on a background
@@ -456,20 +466,32 @@ class SnapshotServer {
   }
 
   /// Re-freezes every served base from the engine's current stores,
-  /// dropping all segments and staged state (IvmEngine::Initialize fills
-  /// stores without firing the delta observer — call this after it).
-  /// Writer-thread only.
+  /// dropping all segments, staged state and merge spares
+  /// (IvmEngine::Initialize fills stores without firing the delta observer
+  /// — call this after it). Writer-thread only; waits out a running merge.
   void Rebase() {
+    std::lock_guard<std::mutex> merge_lk(merge_mu_);
+    Garbage garbage;  // freed after `lk` unlocks
     std::lock_guard<std::mutex> lk(mu_);
     auto* next = new VersionSet();
     next->seq = current_.load(std::memory_order_relaxed)->seq + 1;
     next->stores.resize(nodes_.size());
+    std::vector<std::shared_ptr<Rel>> bases(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
-      next->stores[i].base = MakeGeneration(Rel(engine_->store(nodes_[i])));
+      bases[i] = std::make_shared<Rel>(engine_->store(nodes_[i]));
+      next->stores[i].base = bases[i];
       staging_[i] = Rel(engine_->store(nodes_[i]).schema());
       dirty_[i] = 0;
     }
-    InstallLocked(next);
+    const uint64_t retire_epoch = InstallLocked(next, garbage);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      FoldState& fs = folds_[i];
+      // Neither the displaced base nor the spare is folded into again;
+      // both drain like any retired generation.
+      draining_.emplace_back(retire_epoch, std::move(fs.live));
+      DropSpareLocked(fs, garbage);
+      fs.live = std::move(bases[i]);
+    }
   }
 
   const MergePolicy& policy() const { return policy_; }
@@ -493,11 +515,16 @@ class SnapshotServer {
   uint64_t ReclaimedVersions() const {
     return stats_reclaimed_versions_.load(std::memory_order_relaxed);
   }
-  /// Base generations whose memory was actually freed (counted by the
-  /// generation deleter — a merge retires a base, but it is reclaimed only
-  /// when the last VersionSet and snapshot referencing it drain).
+  /// Displaced base generations released after every VersionSet and
+  /// snapshot that could reach them drained: freed, or taken back as the
+  /// merge spare. Each generation is released once; none while pinned.
   uint64_t ReclaimedGenerations() const {
-    return reclaimed_generations_->load(std::memory_order_relaxed);
+    return stats_reclaimed_generations_.load(std::memory_order_relaxed);
+  }
+  /// Base generations a merge built by cloning the installed base rather
+  /// than folding into the spare (see the class comment for when).
+  uint64_t ClonedGenerations() const {
+    return stats_cloned_generations_.load(std::memory_order_relaxed);
   }
   size_t RetiredCount() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -509,19 +536,49 @@ class SnapshotServer {
   int64_t PinnedCount() const { return epochs_.PinnedCount(); }
 
  private:
-  /// Wraps a frozen generation so its eventual free is observable: the
-  /// deleter owns the counters it touches (shared_ptr + registry-lifetime
-  /// pointer), so it stays valid wherever the last reference dies.
-  RelPtr MakeGeneration(Rel&& rel) {
-    auto counter = reclaimed_generations_;
-    obs::Counter* obs_counter = obs_reclaimed_gens_;
-    return RelPtr(new Rel(std::move(rel)),
-                  [counter, obs_counter](const Rel* p) {
-                    counter->fetch_add(1, std::memory_order_relaxed);
-                    obs_counter->Inc();
-                    delete p;
-                  });
-  }
+  /// Per served store: the double buffer behind the in-place merge fold.
+  /// `live` and `last_fold` are touched only under merge_mu_; the spare
+  /// fields also under mu_ (ReclaimLocked marks spares drained).
+  struct FoldState {
+    /// Mutable handle on the base generation currently installed.
+    std::shared_ptr<Rel> live;
+    /// The coalesced differential the merge that built `live` absorbed:
+    /// live = spare ⊎ last_fold while that merge's spare is kept.
+    Rel last_fold;
+    /// The generation the last merge displaced, and that merge's retire
+    /// epoch: every VersionSet that can reach the spare retired at or
+    /// before it.
+    std::shared_ptr<Rel> spare;
+    uint64_t spare_epoch = 0;
+    /// No reader can reach the spare any more; a merge may mutate it.
+    bool spare_drained = false;
+  };
+
+  /// What a reclamation pass unlinked under mu_. Its destructor frees it,
+  /// so callers declare it *before* their lock guard: the free then runs
+  /// after the unlock, never inside the server's critical section.
+  struct Garbage {
+    Garbage() = default;
+    Garbage(const Garbage&) = delete;
+    Garbage& operator=(const Garbage&) = delete;
+    ~Garbage() {
+      for (const VersionSet* set : sets) delete set;
+    }
+    std::vector<const VersionSet*> sets;
+    std::vector<std::shared_ptr<Rel>> generations;
+  };
+
+  /// Clone-path pool headroom beyond the clone's own differential: a
+  /// fraction of the base (1/kCloneHeadroomDivisor, at least
+  /// kCloneHeadroomMinKeys) for the new keys that accumulate across
+  /// recycles, and never less than kCloneHeadroomDiffs differentials —
+  /// each later fold's capacity check counts every key of two (possibly
+  /// larger) differentials as new. Once new keys use it up, the spare is
+  /// cloned afresh; growing its pool geometrically instead would hold up
+  /// to twice the store per generation.
+  static constexpr size_t kCloneHeadroomDivisor = 16;
+  static constexpr size_t kCloneHeadroomMinKeys = 64;
+  static constexpr size_t kCloneHeadroomDiffs = 4;
 
   /// Engine store-delta observer (writer thread): tees the delta into the
   /// served store's staging relation. Staging absorbs by ring addition, so
@@ -534,9 +591,9 @@ class SnapshotServer {
   }
 
   /// Swaps in `next`, retires the displaced set at the current epoch,
-  /// advances the epoch, and reclaims what already drained. Caller holds
-  /// mu_.
-  void InstallLocked(const VersionSet* next) {
+  /// advances the epoch, and reclaims what already drained into `garbage`.
+  /// Returns the retire epoch. Caller holds mu_.
+  uint64_t InstallLocked(const VersionSet* next, Garbage& garbage) {
     const VersionSet* old = current_.load(std::memory_order_relaxed);
     current_.store(next, std::memory_order_seq_cst);
     uint64_t retire_epoch = epochs_.CurrentEpoch();
@@ -545,36 +602,80 @@ class SnapshotServer {
     size_t segs = 0;
     for (const StoreVersion& sv : next->stores) segs += sv.segments.size();
     segment_count_.store(segs, std::memory_order_relaxed);
-    ReclaimLocked();
+    ReclaimLocked(garbage);
+    return retire_epoch;
   }
 
-  void ReclaimLocked() {
-    uint64_t min_pinned = epochs_.MinPinned();
+  /// Moves every retired VersionSet and displaced generation no reader can
+  /// reach any more into `garbage`, and marks drained spares. A generation
+  /// is reachable only through VersionSets, all retired at or before its
+  /// own retire epoch, so one rule covers both. Caller holds mu_.
+  void ReclaimLocked(Garbage& garbage) {
+    const uint64_t min_pinned = epochs_.MinPinned();
     size_t kept = 0;
     for (auto& [epoch, set] : retired_) {
       if (epoch < min_pinned) {
-        delete set;
+        garbage.sets.push_back(set);
         stats_reclaimed_versions_.fetch_add(1, std::memory_order_relaxed);
       } else {
         retired_[kept++] = {epoch, set};
       }
     }
     retired_.resize(kept);
+    kept = 0;
+    for (auto& [epoch, gen] : draining_) {
+      if (epoch < min_pinned) {
+        garbage.generations.push_back(std::move(gen));
+        CountReclaimedGeneration();
+      } else {
+        draining_[kept++] = {epoch, std::move(gen)};
+      }
+    }
+    draining_.resize(kept);
+    for (FoldState& fs : folds_) {
+      if (fs.spare && !fs.spare_drained && fs.spare_epoch < min_pinned) {
+        fs.spare_drained = true;
+        CountReclaimedGeneration();
+      }
+    }
+  }
+
+  /// Gives up `fs`'s spare: a drained one is freed with `garbage`, one
+  /// still reachable waits in draining_. Caller holds mu_.
+  void DropSpareLocked(FoldState& fs, Garbage& garbage) {
+    if (fs.spare == nullptr) return;
+    if (fs.spare_drained) {
+      garbage.generations.push_back(std::move(fs.spare));
+    } else {
+      draining_.emplace_back(fs.spare_epoch, std::move(fs.spare));
+    }
+    fs.spare_drained = false;
+  }
+
+  void CountReclaimedGeneration() {
+    stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
+    obs_reclaimed_gens_->Inc();
   }
 
   size_t MergeImpl(bool force) {
     // One merger at a time: segment-list prefixes below are only stable
-    // when no other merge can install between the fold and the install.
+    // when no other merge can install between the fold and the install,
+    // and the fold states are the merger's own.
     std::lock_guard<std::mutex> merge_lk(merge_mu_);
     // Failpoint at merge start: nothing folded, nothing installed. An
     // aborted merge leaves the version chain untouched; segments simply
     // wait for the next pass.
     FIVM_FAIL_POINT("serve.merge");
     Snapshot snap = Acquire();  // pins the fold's working set
-    size_t merged = 0;
-    std::vector<std::pair<size_t, RelPtr>> built;   // store slot -> new base
-    std::vector<size_t> folded_segments;
-    std::vector<size_t> folded_keys;
+    struct Fold {
+      size_t slot;
+      size_t segments;
+      size_t segment_keys;
+      std::shared_ptr<Rel> base;  // the next generation
+      Rel diff;
+      bool cloned = false;
+    };
+    std::vector<Fold> folds;
     for (size_t i = 0; i < nodes_.size(); ++i) {
       const StoreVersion& sv = snap.set_->stores[i];
       if (sv.segments.empty()) continue;
@@ -584,55 +685,92 @@ class SnapshotServer {
           diff_keys < policy_.max_diff_keys) {
         continue;
       }
-      obs::ScopedTimer timer(obs_merge_ns_);
-      // Coalesce the frozen segments into one differential (ring addition
-      // dedups keys across segments), then clone the base with headroom:
-      // the clone is built at the final index capacity, so the bulk absorb
-      // never growth-rehashes — which would also re-home the clustered
-      // order below.
-      Rel diff(sv.base->schema());
-      diff.Reserve(diff_keys);
-      for (const RelPtr& s : sv.segments) AbsorbInto(diff, *s);
-      folded_keys.push_back(diff.size());
-      Rel next_base(*sv.base, diff.size());
-      if (policy_.clustered_absorb) {
-        AbsorbIntoClustered(next_base, std::move(diff));
-      } else {
-        AbsorbInto(next_base, std::move(diff));
-      }
-      built.emplace_back(i, MakeGeneration(std::move(next_base)));
-      folded_segments.push_back(sv.segments.size());
-      ++merged;
+      folds.push_back(
+          Fold{i, sv.segments.size(), diff_keys, nullptr, Rel()});
     }
-    if (built.empty()) return 0;
-    // Failpoint between fold and install: the built generations unwind
-    // (their deleters fire) and no set was swapped — an injected abort
-    // here wastes the fold's work but cannot corrupt the version chain.
-    // Stats are counted past this point so an aborted merge reports
-    // nothing as merged.
+    if (folds.empty()) return 0;
+    {
+      // Claim each folding store's spare if it drained. One still pinned
+      // is never waited for: it drains on its own and this merge clones.
+      Garbage garbage;  // freed after `lk` unlocks
+      std::lock_guard<std::mutex> lk(mu_);
+      ReclaimLocked(garbage);
+      for (Fold& f : folds) {
+        FoldState& fs = folds_[f.slot];
+        if (fs.spare_drained) {
+          f.base = std::exchange(fs.spare, nullptr);
+          fs.spare_drained = false;
+        } else {
+          DropSpareLocked(fs, garbage);
+        }
+      }
+    }
+    for (Fold& f : folds) {
+      obs::ScopedTimer timer(obs_merge_ns_);
+      const StoreVersion& sv = snap.set_->stores[f.slot];
+      const FoldState& fs = folds_[f.slot];
+      assert(sv.base == fs.live && "merges and rebases are serialized");
+      // Coalesce the frozen segments into one differential (ring addition
+      // dedups keys across segments).
+      f.diff = Rel(sv.base->schema());
+      f.diff.Reserve(f.segment_keys);
+      for (const RelPtr& s : sv.segments) AbsorbInto(f.diff, *s);
+      // The spare is the generation before the installed one: absorbing
+      // last_fold and then this differential makes it the next one. Each
+      // new key takes a pool slot, so the fold must fit the pool as sized.
+      if (f.base != nullptr &&
+          f.base->KeyPoolSize() + fs.last_fold.size() + f.diff.size() <=
+              f.base->KeyPoolCapacity()) {
+        AbsorbInto(*f.base, fs.last_fold);
+        AbsorbInto(*f.base, f.diff);
+        continue;
+      }
+      f.base.reset();  // free an overflowing spare before cloning
+      const size_t headroom =
+          std::max({sv.base->size() / kCloneHeadroomDivisor,
+                    kCloneHeadroomDiffs * f.diff.size(),
+                    kCloneHeadroomMinKeys});
+      f.base = std::make_shared<Rel>(*sv.base, f.diff.size() + headroom);
+      AbsorbInto(*f.base, f.diff);
+      f.cloned = true;
+    }
+    // Failpoint between fold and install: the built generations unwind and
+    // no set was swapped — an injected abort here wastes the fold's work
+    // (and a recycled spare) but cannot corrupt the version chain, since
+    // the fold states change only below. Stats are counted past this
+    // point so an aborted merge reports nothing as merged.
     FIVM_FAIL_POINT("serve.merge.install");
+    Garbage garbage;  // freed after `lk` unlocks, as is `folds`
     std::lock_guard<std::mutex> lk(mu_);
     const VersionSet* latest = current_.load(std::memory_order_relaxed);
     auto* next = new VersionSet(*latest);
-    for (size_t b = 0; b < built.size(); ++b) {
-      StoreVersion& sv = next->stores[built[b].first];
+    for (const Fold& f : folds) {
+      StoreVersion& sv = next->stores[f.slot];
       // The writer only appends segments and merges are serialized, so
-      // the latest set's first folded_segments[b] segments are exactly the
-      // ones folded above; the remainder published after the fold started
-      // and stays differential.
-      assert(sv.segments.size() >= folded_segments[b]);
+      // the latest set's first f.segments segments are exactly the ones
+      // folded above; the remainder published after the fold started and
+      // stays differential.
+      assert(sv.segments.size() >= f.segments);
       sv.segments.erase(
           sv.segments.begin(),
-          sv.segments.begin() +
-              static_cast<std::ptrdiff_t>(folded_segments[b]));
-      sv.base = std::move(built[b].second);
+          sv.segments.begin() + static_cast<std::ptrdiff_t>(f.segments));
+      sv.base = f.base;
       ++sv.base_gen;
-      stats_merged_keys_.fetch_add(folded_keys[b], std::memory_order_relaxed);
+      stats_merged_keys_.fetch_add(f.diff.size(), std::memory_order_relaxed);
     }
-    InstallLocked(next);
-    stats_merges_.fetch_add(merged, std::memory_order_relaxed);
-    obs_merges_->Add(merged);
-    return merged;
+    const uint64_t retire_epoch = InstallLocked(next, garbage);
+    for (Fold& f : folds) {
+      FoldState& fs = folds_[f.slot];
+      fs.spare = std::exchange(fs.live, std::move(f.base));
+      fs.spare_epoch = retire_epoch;
+      std::swap(fs.last_fold, f.diff);
+      if (f.cloned) {
+        stats_cloned_generations_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    stats_merges_.fetch_add(folds.size(), std::memory_order_relaxed);
+    obs_merges_->Add(folds.size());
+    return folds.size();
   }
 
   IvmEngine<Ring>* engine_;
@@ -650,8 +788,12 @@ class SnapshotServer {
   std::atomic<const VersionSet*> current_{nullptr};
   mutable std::mutex mu_;
   std::vector<std::pair<uint64_t, const VersionSet*>> retired_;
+  /// Displaced generations no merge will fold into, with their retire
+  /// epochs, waiting for their readers to drain (guarded by mu_).
+  std::vector<std::pair<uint64_t, std::shared_ptr<Rel>>> draining_;
+  std::vector<FoldState> folds_;  // one per served store
   mutable EpochRegistry epochs_;
-  std::mutex merge_mu_;  // serializes MergeImpl executions
+  std::mutex merge_mu_;  // serializes MergeImpl and Rebase
 
   std::thread merger_;
   std::mutex merger_mu_;
@@ -664,8 +806,8 @@ class SnapshotServer {
   std::atomic<uint64_t> stats_merged_keys_{0};
   std::atomic<uint64_t> stats_merge_failures_{0};
   std::atomic<uint64_t> stats_reclaimed_versions_{0};
-  std::shared_ptr<std::atomic<uint64_t>> reclaimed_generations_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
+  std::atomic<uint64_t> stats_reclaimed_generations_{0};
+  std::atomic<uint64_t> stats_cloned_generations_{0};
   std::atomic<size_t> segment_count_{0};
 
   /// Registry handles (process lifetime; stubs when FIVM_METRICS=OFF).
@@ -679,6 +821,7 @@ class SnapshotServer {
   obs::Histogram* obs_merge_ns_ = nullptr;
   uint64_t pinned_gauge_token_ = 0;
   uint64_t segments_gauge_token_ = 0;
+  uint64_t clones_gauge_token_ = 0;
 };
 
 }  // namespace fivm::serve

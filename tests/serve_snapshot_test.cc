@@ -198,29 +198,38 @@ TEST(SnapshotServerTest, MergeFoldsSegmentsIntoNextGeneration) {
   EXPECT_EQ(server.MergeNow(), 0u);
 }
 
-TEST(SnapshotServerTest, ArrivalOrderMergeMatchesClusteredMerge) {
-  for (bool clustered : {true, false}) {
-    Fixture f;
-    f.Apply(1, {{10, 5}});
-    MergePolicy policy;
-    policy.clustered_absorb = clustered;
-    Server server(&*f.engine, policy);
+/// Applies `rows` random R(A, 10) insertions over A in [0, domain) and
+/// publishes them as one segment.
+void PublishRandomBatch(Fixture& f, Server& server, util::Rng& rng,
+                        int rows, int64_t domain) {
+  std::vector<std::pair<int64_t, int64_t>> batch;
+  for (int i = 0; i < rows; ++i) {
+    batch.emplace_back(rng.UniformInt(0, domain - 1), 10);
+  }
+  f.Apply(0, std::move(batch));
+  server.Publish();
+}
 
-    util::Rng rng(99);
-    for (int batch = 0; batch < 6; ++batch) {
-      std::vector<std::pair<int64_t, int64_t>> rows;
-      for (int i = 0; i < 40; ++i) {
-        rows.emplace_back(rng.UniformInt(0, 64), 10);
-      }
-      f.Apply(0, std::move(rows));
-      server.Publish();
-    }
-    server.MergeNow();
+TEST(SnapshotServerTest, RecycledMergesMatchEngineRoot) {
+  // Merges alternate between two base generations: each folds into the
+  // drained one the previous merge displaced. The first merges clone (no
+  // spare yet; the construction-time base has no pool headroom), the rest
+  // must recycle, and every merged generation must equal the engine root.
+  Fixture f;
+  f.Apply(1, {{10, 5}});
+  Server server(&*f.engine);
+
+  util::Rng rng(99);
+  for (int merge = 0; merge < 8; ++merge) {
+    PublishRandomBatch(f, server, rng, 40, 64);
+    ASSERT_EQ(server.MergeNow(), 1u);
     auto snap = server.Acquire();
     EXPECT_EQ(snap.segment_count(), 0u);
-    EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()))
-        << "clustered=" << clustered;
+    ASSERT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()))
+        << "merge " << merge;
   }
+  EXPECT_GE(server.ClonedGenerations(), 1u);
+  EXPECT_LT(server.ClonedGenerations(), server.MergeCount());
 }
 
 TEST(SnapshotServerTest, MergeStepHonorsPolicyBounds) {
@@ -271,14 +280,15 @@ TEST(SnapshotServerTest, ReclamationWaitsForPinnedSnapshots) {
     // Every retired set is at or after the pinned epoch: nothing freed.
     EXPECT_GT(server.RetiredCount(), 0u);
     EXPECT_EQ(server.ReclaimedVersions(), 0u);
+    EXPECT_EQ(server.ReclaimedGenerations(), freed_before);
     // The pinned snapshot still reads pre-update state.
     EXPECT_EQ(LookupCount(pinned, 1), 0);
   }
   server.Reclaim();
   EXPECT_EQ(server.RetiredCount(), 0u);
   EXPECT_GT(server.ReclaimedVersions(), 0u);
-  // The merge retired the generation-0 base; with no snapshot pinning it,
-  // its memory is actually freed.
+  // The merge displaced the generation-0 base; with no snapshot pinning
+  // it, it is released (held back as the next merge's spare).
   EXPECT_GT(server.ReclaimedGenerations(), freed_before);
 
   auto snap = server.Acquire();
@@ -427,6 +437,81 @@ TEST(SnapshotServerTest, RebaseAfterReinitialize) {
   EXPECT_EQ(snap.segment_count(), 0u);
   EXPECT_EQ(LookupCount(snap, 9), 1);
   EXPECT_EQ(LookupCount(snap, 1), 0);
+  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
+}
+
+TEST(SnapshotServerTest, PinnedSpareForcesClonePath) {
+  // A snapshot pinned across several merges keeps its generation reachable
+  // — as the spare of the merge after next, then through retired sets —
+  // so those merges clone instead of folding into it, and the snapshot
+  // keeps materializing its pinned state throughout.
+  Fixture f;
+  f.Apply(1, {{10, 5}});
+  Server server(&*f.engine);
+  util::Rng rng(17);
+  for (int merge = 0; merge < 3; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    server.MergeNow();
+  }
+
+  std::optional<Server::Snapshot> pinned(server.Acquire());
+  Rel pinned_ref = Rel(f.engine->result());
+  PublishRandomBatch(f, server, rng, 8, 24);
+  server.MergeNow();  // its spare predates the pin: may recycle
+  const uint64_t clones = server.ClonedGenerations();
+  for (int merge = 0; merge < 3; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    ASSERT_EQ(server.MergeNow(), 1u);
+    EXPECT_EQ(server.ClonedGenerations(), clones + merge + 1)
+        << "a merge folded into a generation a pinned snapshot can reach";
+    EXPECT_TRUE(ContentEquals(pinned->Materialize(), pinned_ref));
+    auto snap = server.Acquire();
+    EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
+  }
+
+  // Once the pin drains, merges recycle again.
+  pinned.reset();
+  server.Reclaim();
+  const uint64_t clones_after_pin = server.ClonedGenerations();
+  for (int merge = 0; merge < 2; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    server.MergeNow();
+  }
+  EXPECT_EQ(server.ClonedGenerations(), clones_after_pin);
+  auto snap = server.Acquire();
+  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
+}
+
+TEST(SnapshotServerTest, RebaseDropsTheMergeSpare) {
+  // After Rebase the spare belongs to a superseded store state, so the
+  // next merge must clone the rebased base, never fold into the spare.
+  Fixture f;
+  f.Apply(1, {{10, 5}});
+  Server server(&*f.engine);
+  util::Rng rng(23);
+  for (int merge = 0; merge < 3; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    server.MergeNow();
+  }
+  server.Reclaim();
+  const uint64_t released = server.ReclaimedGenerations();
+
+  Database<I64Ring> db = MakeDatabase<I64Ring>(f.query);
+  db[0].Add(Tuple::Ints({9, 10}), 1);
+  db[1].Add(Tuple::Ints({10, 5}), 1);
+  f.engine->Initialize(db);
+  server.Rebase();
+  server.Reclaim();
+  // The displaced base drained and was released; the spare was released
+  // already and is simply freed.
+  EXPECT_EQ(server.ReclaimedGenerations(), released + 1);
+
+  const uint64_t clones = server.ClonedGenerations();
+  PublishRandomBatch(f, server, rng, 8, 24);
+  ASSERT_EQ(server.MergeNow(), 1u);
+  EXPECT_EQ(server.ClonedGenerations(), clones + 1);
+  auto snap = server.Acquire();
+  EXPECT_EQ(LookupCount(snap, 9), 1);
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
 
@@ -579,6 +664,44 @@ TEST(SnapshotServerTest, AbortedMergeInstallKeepsVersionChainConsistent) {
   EXPECT_EQ(snap.base_gen(), 1u);
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
+TEST(SnapshotServerTest, AbortedRecyclingMergeKeepsLaterMergesExact) {
+  // An install abort after the fold consumed the spare: the half-built
+  // generation unwinds with it, so the next merge clones, and every later
+  // merge (recycling again) still equals the engine root.
+  Fixture f;
+  f.Apply(1, {{10, 5}});
+  Server server(&*f.engine);
+  util::Rng rng(41);
+  for (int merge = 0; merge < 3; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    server.MergeNow();
+  }
+  PublishRandomBatch(f, server, rng, 8, 24);
+  const uint64_t clones = server.ClonedGenerations();
+
+  auto& fp = util::FailPointRegistry::Default();
+  fp.Arm("serve.merge.install", 1.0, /*seed=*/8, /*max_fires=*/1);
+  EXPECT_THROW(server.MergeNow(), util::InjectedFault);
+  fp.DisarmAll();
+  {
+    auto snap = server.Acquire();
+    EXPECT_EQ(snap.segment_count(), 1u);
+    EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
+  }
+
+  ASSERT_EQ(server.MergeNow(), 1u);
+  EXPECT_EQ(server.ClonedGenerations(), clones + 1)
+      << "the aborted merge had taken the spare";
+  for (int merge = 0; merge < 4; ++merge) {
+    PublishRandomBatch(f, server, rng, 8, 24);
+    ASSERT_EQ(server.MergeNow(), 1u);
+    auto snap = server.Acquire();
+    ASSERT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()))
+        << "merge " << merge;
+  }
+  EXPECT_EQ(server.ClonedGenerations(), clones + 1);
+}
+
 #endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace
