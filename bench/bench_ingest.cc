@@ -191,13 +191,6 @@ ArmResult RunArm(const std::vector<Update>& stream, size_t base_rows,
   // scheduler-noise tails (~5ms), so only genuine overload — a standing
   // queue backlog, as in the 2.0x arm — widens the batch window.
   opts.visibility_slo = opts.flush_deadline * 10;
-  // Merge placement (FIVM_BENCH_BG_MERGE_MS): >0 = background merger at
-  // that interval (merges overlap flushing — the production service shape),
-  // 0 = inline MergeStep after every flush (stalls the flush loop for the
-  // fold), <0 = no merging during the run (segments accumulate; the
-  // differential read path carries them until the final MergeNow).
-  const int64_t bg_merge_ms = EnvInt("FIVM_BENCH_BG_MERGE_MS", 1);
-  opts.merge_each_flush = (bg_merge_ms == 0);
   std::optional<durability::WalWriter> wal;
   std::optional<durability::Checkpointer<I64Ring>> ckpt;
   if (!wal_dir.empty()) {
@@ -213,9 +206,6 @@ ArmResult RunArm(const std::vector<Update>& stream, size_t base_rows,
                                          &server, opts);
   if (wal.has_value()) service.AttachDurability(&*wal, &*ckpt);
   service.SetVisibilityProbe([vis_ns](uint64_t ns) { vis_ns->Record(ns); });
-  if (bg_merge_ms > 0) {
-    server.StartBackgroundMerge(std::chrono::milliseconds(bg_merge_ms));
-  }
 
   service.Start();
   util::Timer wall;
@@ -238,7 +228,6 @@ ArmResult RunArm(const std::vector<Update>& stream, size_t base_rows,
     service.Offer(0, u.key, u.mult);
   }
   service.Stop();
-  server.StopBackgroundMerge();
 
   ArmResult r;
   r.wall_s = wall.ElapsedSeconds();

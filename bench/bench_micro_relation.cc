@@ -227,16 +227,12 @@ void BM_JoinAndMarginalize(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinAndMarginalize)->Arg(1000)->Arg(10000);
 
-/// The home-cell-clustered absorb question, answered from one process.
-/// Args: (order, delta size); order 0 = arrival, 1 = std::sort of the key
-/// tuples timed, 2 = presorted before timing (the pure sweep effect — the
-/// only arm that wins), 3 = the gated clustered AbsorbInto path
-/// (id-partition + gather, ordering timed). The store prefill scales with
-/// the delta (≈3×), keeping the index around 60-75% load at every size.
-/// Verdict (recorded in relation_ops.h): order 2 beats order 0 by
-/// 1.1×/1.13×/1.7× at 2k/16k/190k, but orders 1 and 3 land at or slightly
-/// below order 0 — establishing the order inside the absorb refunds the
-/// win, which is why ClusteredAbsorbMinKeys() defaults to disabled.
+/// The home-order sweep effect, answered from one process. Args: (order,
+/// delta size); order 0 = arrival, 2 = keys presorted by destination home
+/// group before timing. The store prefill scales with the delta (≈3×),
+/// keeping the index around 60-75% load at every size. Order 2 beats order
+/// 0 by 1.1×/1.13×/1.7× at 2k/16k/190k, but no in-absorb ordering keeps
+/// that win once the sort is timed (see the note in relation_ops.h).
 void BM_AbsorbHashOrdered(benchmark::State& state) {
   util::Rng rng(7);
   const size_t n = static_cast<size_t>(state.range(1));
@@ -252,67 +248,36 @@ void BM_AbsorbHashOrdered(benchmark::State& state) {
     keys.push_back(Tuple::Ints({static_cast<int64_t>(prefill + i),
                                 rng.UniformInt(0, 1 << 20)}));
   }
-  // Home group = (hash >> 7) & (groups - 1), matching the final table the
-  // absorb ends at (util::GroupHomeIndex) — sorting by unrelated hash bits
-  // would leave home groups random and measure nothing.
-  const size_t final_cap = util::GroupCapacityFor(prefill + n);
-  const int order = static_cast<int>(state.range(0));
-  auto home_sort = [final_cap](std::vector<Tuple>& v) {
-    std::sort(v.begin(), v.end(),
+  const bool presorted = state.range(0) == 2;
+  if (presorted) {
+    // Home group = (hash >> 7) & (groups - 1), matching the final table
+    // the absorb ends at (util::GroupHomeIndex) — sorting by unrelated hash
+    // bits would leave home groups random and measure nothing.
+    const size_t final_cap = util::GroupCapacityFor(prefill + n);
+    std::sort(keys.begin(), keys.end(),
               [final_cap](const Tuple& a, const Tuple& b) {
                 return util::GroupHomeIndex(a.Hash(), final_cap) <
                        util::GroupHomeIndex(b.Hash(), final_cap);
               });
-  };
-  std::vector<Tuple> sorted_keys = keys;
-  if (order == 2) home_sort(sorted_keys);  // presorted: sweep effect only
-  // Mode 3 exercises the gated clustered AbsorbInto path (disabled by
-  // default per the relation_ops.h measurement note).
-  if (order == 3) ClusteredAbsorbMinKeys().store(1);
+  }
   for (auto _ : state) {
     state.PauseTiming();
     Relation<I64Ring> store(Schema{0, 1});
     for (const Tuple& k : prefill_keys) store.Add(k, 1);
-    if (order == 1) sorted_keys = keys;  // re-sorted per iteration, timed
-    Relation<I64Ring> delta(Schema{0, 1});
-    if (order == 3) {
-      delta.Reserve(n);
-      for (const Tuple& k : keys) delta.Add(k, 1);
-    }
     state.ResumeTiming();
-    switch (order) {
-      case 0:
-        for (const Tuple& k : keys) store.Add(k, 1);
-        break;
-      case 1:  // std::sort of fat tuple keys, timed: eats the sweep win
-        home_sort(sorted_keys);
-        store.Reserve(prefill + n);
-        for (const Tuple& k : sorted_keys) store.Add(k, 1);
-        break;
-      case 2:
-        store.Reserve(prefill + n);
-        for (const Tuple& k : sorted_keys) store.Add(k, 1);
-        break;
-      case 3:  // the gated path: bucket-partitioned clustered AbsorbInto
-        AbsorbInto(store, std::move(delta));
-        break;
-    }
+    if (presorted) store.Reserve(prefill + n);
+    for (const Tuple& k : keys) store.Add(k, 1);
     benchmark::DoNotOptimize(store.size());
   }
-  if (order == 3) ClusteredAbsorbMinKeys().store(kClusteredAbsorbDisabled);
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_AbsorbHashOrdered)
     ->Args({0, 2048})
     ->Args({2, 2048})
-    ->Args({3, 2048})
     ->Args({0, 16384})
     ->Args({2, 16384})
-    ->Args({3, 16384})
     ->Args({0, 190000})
-    ->Args({1, 190000})
     ->Args({2, 190000})
-    ->Args({3, 190000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Marginalize(benchmark::State& state) {

@@ -71,9 +71,8 @@ class Relation {
   /// arrays and primary index sized for other.size() + extra_capacity keys
   /// up front. This is the generation clone of the versioned read path
   /// (src/serve/): the next generation absorbs its differential at one
-  /// final index capacity — no mid-merge growth rehash, which would also
-  /// re-home a clustered absorb order — and tombstones are dropped in the
-  /// same pass. Secondary indexes are not copied.
+  /// final index capacity — no mid-merge growth rehash — and tombstones
+  /// are dropped in the same pass. Secondary indexes are not copied.
   Relation(const Relation& other, size_t extra_capacity)
       : schema_(other.schema_) {
     Reserve(other.size() + extra_capacity);
@@ -146,19 +145,11 @@ class Relation {
     index_.Reserve(n);
   }
 
-  /// The primary-index capacity this relation would occupy after
-  /// Reserve(n): with it, util::GroupHomeIndex gives the home group the
-  /// index will assign each key — the sort key of home-cell-clustered bulk
-  /// absorbs (relation_ops.h).
-  size_t IndexCapacityAfterReserve(size_t n) const {
-    return index_.CapacityAfterReserve(n);
-  }
-
   /// Presizes for absorbing up to `added` more keys: the index grows to its
-  /// final capacity up front (so a bulk absorb never rehashes mid-stream,
-  /// which would also re-home a clustered absorb's sort order), while the
-  /// pool arrays grow geometrically — an exact reserve per absorb would
-  /// defeat the doubling guarantee and turn repeated absorbs quadratic.
+  /// final capacity up front (so a bulk absorb never rehashes mid-stream),
+  /// while the pool arrays grow geometrically — an exact reserve per absorb
+  /// would defeat the doubling guarantee and turn repeated absorbs
+  /// quadratic.
   void ReserveForAbsorb(size_t added) {
     size_t needed = keys_.size() + added;
     if (needed > keys_.capacity()) {
@@ -236,12 +227,6 @@ class Relation {
     void Reserve(size_t n) {
       table_.Reserve(n, CellHash);
       assert(table_.capacity() <= kMaxCells);
-    }
-
-    /// The capacity the index would occupy after Reserve(n) — the mask the
-    /// home-cell-clustered absorb path (relation_ops.h) sorts against.
-    size_t CapacityAfterReserve(size_t n) const {
-      return table_.CapacityAfterReserve(n);
     }
 
     /// Slot of the entry whose key equals `key`, or kNoSlot. `key` may be a

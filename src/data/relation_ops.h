@@ -2,8 +2,6 @@
 #define FIVM_DATA_RELATION_OPS_H_
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -389,42 +387,6 @@ Relation<Ring> Reordered(Relation<Ring>&& rel, const Schema& target) {
   return out;
 }
 
-/// Home-cell-clustered absorbs: deltas with at least
-/// ClusteredAbsorbMinKeys() live keys are absorbed in ascending
-/// destination home-group-range order (coarse stable counting partition of
-/// slot ids), so each bucket's FindOrInsert probes land in one
-/// cache-resident slice of the store's control/cell arrays.
-///
-/// Measured verdict (BM_AbsorbHashOrdered, this container, medians of
-/// interleaved in-process rows): the *sweep itself* is real — absorbing
-/// keys already in home order runs 1.1×/1.13×/1.7× faster than arrival
-/// order at 2k/16k/190k keys into a ~3× larger store (order 2 vs 0). But
-/// every scheme that establishes the order inside the absorb gives the win
-/// back: a full std::sort of the fat tuple keys, a counting-sorted entry
-/// scatter, and the id-partition + gather all measured at or slightly
-/// below arrival order end-to-end (order 1/3 vs 0) — the permutation's
-/// random pass over ~100-byte entries costs about what the destination
-/// locality saves, on both L3-resident (this box: 260 MB shared L3) and
-/// DRAM-bound working sets. The PR2/PR3-era ROADMAP note ("home-ordered
-/// absorbs ~1.7× faster — ready win") measured the sweep with the sort
-/// *outside* the timed region; end-to-end it is a wash.
-///
-/// The mechanism therefore ships complete but DISABLED by default
-/// (cutover = SIZE_MAX): correctness is exercised by tests that pin the
-/// cutover low, the tradeoff is re-measurable per deployment with
-/// BM_AbsorbHashOrdered order 3 vs 0, and callers that can produce
-/// home-ordered deltas for free (the only profitable case) get the swept
-/// insert path just by ordering their input.
-inline constexpr size_t kClusteredAbsorbDisabled = static_cast<size_t>(-1);
-
-/// Runtime cutover knob (relaxed atomic: the exec layer absorbs from
-/// multiple threads' batches). Tests and per-deployment tuning lower it;
-/// default keeps clustering off per the measurement note above.
-inline std::atomic<size_t>& ClusteredAbsorbMinKeys() {
-  static std::atomic<size_t> v{kClusteredAbsorbDisabled};
-  return v;
-}
-
 /// Same-layout absorbs at or above this many delta keys presize the store
 /// (ReserveForAbsorb) so the bulk insert proceeds at one final index
 /// capacity with no mid-absorb growth rehash; below it, presizing is all
@@ -432,83 +394,14 @@ inline std::atomic<size_t>& ClusteredAbsorbMinKeys() {
 /// the store).
 inline constexpr size_t kPresizeAbsorbMinKeys = 1024;
 
-/// Per-bucket byte budget for the destination's control + cell region
-/// under clustered absorbs: small enough to sit in L2 while a bucket
-/// absorbs, large enough that the partition stays coarse.
-inline constexpr size_t kClusteredAbsorbBucketBytes = size_t{128} << 10;
-
-/// The coarse home-range scatter plan of `delta`'s live slots for absorbing
-/// into `store`. Presizes the store (the absorb then proceeds at one final
-/// index capacity — no mid-stream rehash, which would also re-home the
-/// clustering) and fills `order` with delta's live slot ids partitioned by
-/// ascending destination home-group range, slot-ascending within a bucket
-/// (stable counting partition — deterministic by construction). Only slot
-/// ids move (4 bytes each): materializing or fully sorting the fat entries
-/// themselves was measured to cost more than the locality it buys; the
-/// stable partition keeps each bucket's source reads monotone in slot
-/// order, so the gather stays prefetch-friendly while all destination
-/// writes of a bucket land in one cache-resident index slice. Returns
-/// false when one bucket would cover the whole destination (it is
-/// cache-resident anyway; absorb in arrival order).
-template <typename Ring>
-bool HomeClusteredAbsorbOrder(Relation<Ring>& store,
-                              const Relation<Ring>& delta,
-                              std::vector<uint32_t>& order) {
-  std::vector<uint32_t> ids;
-  ids.reserve(delta.size());
-  const uint32_t n_slots = static_cast<uint32_t>(delta.SlotCount());
-  // Payload-pool-only sweep: the zero test never touches the keys.
-  for (uint32_t s = 0; s < n_slots; ++s) {
-    if (!Ring::IsZero(delta.PayloadAt(s))) ids.push_back(s);
-  }
-  store.ReserveForAbsorb(ids.size());
-  const size_t cap = store.IndexCapacityAfterReserve(0);
-  const size_t groups = cap / util::kGroupWidth;
-
-  // One bucket spans groups/B consecutive home groups; its destination
-  // ctrl+cell footprint is cap/B * ~17 bytes.
-  size_t buckets = 1;
-  while (buckets < 1024 && buckets < groups &&
-         cap * 17 / buckets > kClusteredAbsorbBucketBytes) {
-    buckets <<= 1;
-  }
-  if (buckets <= 1) return false;
-  const size_t shift = std::countr_zero(groups / buckets);
-
-  std::vector<uint16_t> bucket_of(ids.size());
-  std::vector<uint32_t> cnt(buckets + 1, 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    size_t home = util::GroupHomeIndex(delta.KeyAt(ids[i]).Hash(), cap);
-    bucket_of[i] = static_cast<uint16_t>(home >> shift);
-    ++cnt[bucket_of[i] + 1];
-  }
-  for (size_t b = 1; b <= buckets; ++b) cnt[b] += cnt[b - 1];
-  order.resize(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    order[cnt[bucket_of[i]]++] = ids[i];
-  }
-  return true;
-}
-
 /// Adds `delta` into `store`, re-ordering key columns if the two schemas use
 /// a different positional layout. The schemas must be equal as sets. Large
-/// same-layout deltas absorb home-cell-clustered and presized (no
-/// mid-absorb rehash): the key/payload copy each Add performs anyway is
-/// routed through the bucketed scratch vector instead, and the per-bucket
-/// absorbs then hit a cache-resident slice of the destination index.
+/// same-layout deltas absorb presized (no mid-absorb rehash), in arrival
+/// order — see the negative-result note below.
 template <typename Ring>
 void AbsorbInto(Relation<Ring>& store, const Relation<Ring>& delta) {
   assert(store.schema().SameSet(delta.schema()));
   if (store.schema() == delta.schema()) {
-    std::vector<uint32_t> order;
-    if (delta.size() >=
-            ClusteredAbsorbMinKeys().load(std::memory_order_relaxed) &&
-        HomeClusteredAbsorbOrder(store, delta, order)) {
-      for (uint32_t s : order) {
-        store.Add(delta.KeyAt(s), delta.PayloadAt(s));
-      }
-      return;
-    }
     if (delta.size() >= kPresizeAbsorbMinKeys) {
       store.ReserveForAbsorb(delta.size());
     }
@@ -524,25 +417,13 @@ void AbsorbInto(Relation<Ring>& store, const Relation<Ring>& delta) {
 /// Move-aware absorb: consumes `delta`, re-homing keys and payloads instead
 /// of copying them. When the store is empty and the layouts match, this is
 /// a single relation move (the common "fill a fresh store" case); large
-/// staged deltas (the ParallelExecutor merge path and the sequential
-/// trigger's store absorbs) absorb home-cell-clustered, paying one extra
-/// sequential entry-move pass for cache-resident destination writes.
+/// same-layout deltas absorb presized, like the copying overload.
 template <typename Ring>
 void AbsorbInto(Relation<Ring>& store, Relation<Ring>&& delta) {
   assert(store.schema().SameSet(delta.schema()));
   if (store.schema() == delta.schema()) {
     if (store.empty()) {
       store = std::move(delta);
-      return;
-    }
-    std::vector<uint32_t> order;
-    if (delta.size() >=
-            ClusteredAbsorbMinKeys().load(std::memory_order_relaxed) &&
-        HomeClusteredAbsorbOrder(store, delta, order)) {
-      auto pool = delta.TakePool();
-      for (uint32_t s : order) {
-        store.Add(std::move(pool.keys[s]), std::move(pool.payloads[s]));
-      }
       return;
     }
     if (delta.size() >= kPresizeAbsorbMinKeys) {
@@ -583,23 +464,11 @@ bool ContentEquals(const Relation<Ring>& a, const Relation<Ring>& b) {
   return equal;
 }
 
-// Historical note (PR 2 → PR 4): under the seed's linear probing, absorbing
-// in ascending key-hash order was recorded as ~2× slower than arrival
-// order (primary clustering); PR 3's quadratic probing lifted that and
-// re-measured the home-cell sweep as ~1.7× FASTER than arrival order —
-// with the sort outside the timed region. PR 4 (SwissTable core) re-ran
-// the question end-to-end, ordering cost included, and the conclusion
-// inverted again: the sweep's win survives (order 2 of
-// BM_AbsorbHashOrdered), but no in-absorb ordering scheme keeps it — see
-// the ClusteredAbsorbMinKeys() note above. The three-PR arc is a useful
-// caution: "X is faster" claims about this substrate must name what the
-// timed region includes.
-//
-// The serving merge's fold into a presized base clone — off the hot path,
-// no growth rehash, the most favorable shape clustering could get — also
-// lost: 0.87–0.97x arrival order at 224k/1.1M-key folds (medians of 15
-// interleaved reps). Merges now fold in place into a recycled base
-// generation (src/serve/), so that shape and its forced variant are gone.
+// Negative result: absorbing in destination home-group order ("clustered
+// absorb") lost on quadratic probing, on the SwissTable core and on the
+// serving merge fold, so it was deleted. Keys already in home order absorb
+// up to 1.7x faster (BM_AbsorbHashOrdered order 2 vs 0), but every way to
+// establish that order inside the absorb costs about what it saves.
 
 /// Converts a relation between rings by mapping payloads through `fn`.
 template <typename ToRing, typename FromRing, typename Fn>

@@ -14,7 +14,8 @@
 //  * Admission control: each relation's queue is bounded and governed by an
 //    AdmissionPolicy — kBlock (backpressure the producer), kShedNewest
 //    (reject the incoming update), kDropOldest (evict the queue head). Every
-//    outcome is counted (Stats + obs ingest.* counters).
+//    outcome is counted in IngestStats, which the registry exports as
+//    ingest.* gauges.
 //  * Graceful degradation: update visibility (steady-clock age of the oldest
 //    update in a flushed window, recorded into the ingest.visibility_ns
 //    histogram) is checked against ServiceOptions::visibility_slo; when more
@@ -22,16 +23,18 @@
 //    its effective batch window (size and deadline) — trading per-update
 //    latency for throughput instead of falling over — and narrows it back
 //    once a full window is clean.
-//  * Fault supervision: Flush, ApplyBatch, Publish and MergeStep are wrapped
-//    in retry-with-capped-backoff loops. The underlying operations are
-//    all-or-nothing (batcher.flush / serve.publish failpoints sit before any
-//    state change; the parallel executor stages every store delta until all
-//    worker tasks succeed), so a retry can never double-apply. ApplyBatch
-//    consumes its delta, so the supervisor retains a copy per flush for
-//    retry (set max_retries=0 to skip both the copy and the supervision).
-//    Publish failures past the retry budget are absorbed, not propagated:
-//    staged segments stay staged and the next flush's publish makes them
-//    visible — visibility delayed, never lost.
+//  * Fault supervision: the WAL seal, Flush, ApplyBatch and Publish run in
+//    one retry-with-capped-backoff envelope (Supervise); each stage keeps
+//    only its exhaustion policy — a seal sheds the window, flush and apply
+//    rethrow, publish counts publish_failures and absorbs. The underlying
+//    operations are all-or-nothing (batcher.flush / serve.publish
+//    failpoints sit before any state change; the parallel executor stages
+//    every store delta until all worker tasks succeed), so a retry can
+//    never double-apply. ApplyBatch consumes its delta, so every attempt
+//    but the last applies a copy. An absorbed publish failure leaves the
+//    segments staged for the next flush's publish — visibility delayed,
+//    never lost. MergeStep is not retried: a failed merge is counted in
+//    merge_failures and its segments wait for the next flush's merge.
 //  * Clean shutdown: Stop() stops admission, drains every queued update
 //    through flush→apply→publish, then joins the service thread. With
 //    kBlock admission nothing offered before Stop() is lost.
@@ -116,9 +119,8 @@ struct ServiceOptions {
   size_t slo_window = 32;
   /// Ceiling on degradation: effective window = configured × 2^level.
   size_t max_degrade_level = 3;
-  /// Supervision retry budget per operation (0 disables retry — faults
-  /// then propagate out of the service loop — and skips the per-flush
-  /// retry copy).
+  /// Supervision retry budget per operation (0 disables retry: a fault
+  /// meets its stage's exhaustion policy at once).
   size_t max_retries = 16;
   /// First retry sleep; doubles per attempt up to retry_backoff_cap.
   std::chrono::microseconds retry_backoff{50};
@@ -139,8 +141,9 @@ struct ServiceOptions {
   size_t checkpoint_every_flushes = 0;
 };
 
-/// Counters mirrored into the obs registry as ingest.*; these live in every
-/// build config (tests and benches read them with FIVM_METRICS=OFF too).
+/// The service's counters, live in every build config (tests and benches
+/// read them with FIVM_METRICS=OFF too). The registry exports them as
+/// ingest.* gauges read from here — this struct is their only owner.
 struct IngestStats {
   uint64_t admitted = 0;
   uint64_t shed = 0;          // kShedNewest rejections (+ offers after Stop)
@@ -193,35 +196,50 @@ class IngestService {
     queues_.resize(engine_->tree().query().relation_count());
     for (auto& q : queues_) q.policy = opts_.default_queue;
     if (server_ != nullptr) {
-      executor_->SetPostBatchHook([this] { SupervisedPublish(); });
+      // Publish runs inside ApplyBatch (after the batch merged into the
+      // stores), so an escaping exception would make the apply supervisor
+      // re-run an already applied batch; exhaustion is absorbed instead.
+      executor_->SetPostBatchHook([this] {
+        Supervise(
+            &IngestStats::publish_retries, [this](bool) { server_->Publish(); },
+            [this] {
+              std::lock_guard<std::mutex> lk(mu_);
+              stats_.publish_failures += 1;
+            });
+      });
     }
-    auto& reg = obs::MetricRegistry::Default();
-    obs_admitted_ = reg.GetCounter("ingest.admitted");
-    obs_shed_ = reg.GetCounter("ingest.shed");
-    obs_dropped_ = reg.GetCounter("ingest.dropped");
-    obs_blocks_ = reg.GetCounter("ingest.blocks");
-    obs_flushes_ = reg.GetCounter("ingest.flushes");
-    obs_retries_ = reg.GetCounter("ingest.retries");
-    obs_degrades_ = reg.GetCounter("ingest.degrade_transitions");
-    obs_wal_appended_ = reg.GetCounter("ingest.wal_appended");
-    obs_wal_failed_ = reg.GetCounter("ingest.wal_failed_windows");
-    obs_checkpoints_ = reg.GetCounter("ingest.checkpoints");
-    obs_visibility_ns_ = reg.GetHistogram("ingest.visibility_ns");
-    depth_gauge_token_ = reg.RegisterGauge("ingest.queue_depth", [this] {
-      return static_cast<int64_t>(queued_depth_.load(std::memory_order_relaxed));
-    });
-    level_gauge_token_ = reg.RegisterGauge("ingest.degrade_level", [this] {
-      return static_cast<int64_t>(
-          degrade_level_.load(std::memory_order_relaxed));
-    });
+    obs_visibility_ns_ =
+        obs::MetricRegistry::Default().GetHistogram("ingest.visibility_ns");
+    // IngestStats is the only owner of these numbers; the registry reads
+    // them under mu_ at scrape time (a sum for the aggregate names).
+    auto export_sum = [this](const char* name, auto... fields) {
+      gauges_.Add(name, [this, fields...] {
+        std::lock_guard<std::mutex> lk(mu_);
+        return static_cast<int64_t>(((stats_.*fields) + ...));
+      });
+    };
+    export_sum("ingest.admitted", &IngestStats::admitted);
+    export_sum("ingest.shed", &IngestStats::shed);
+    export_sum("ingest.dropped", &IngestStats::dropped);
+    export_sum("ingest.blocks", &IngestStats::blocks);
+    export_sum("ingest.flushes", &IngestStats::flushes);
+    export_sum("ingest.retries", &IngestStats::flush_retries,
+               &IngestStats::apply_retries, &IngestStats::publish_retries,
+               &IngestStats::wal_retries);
+    export_sum("ingest.degrade_transitions", &IngestStats::degrade_enters,
+               &IngestStats::degrade_exits);
+    export_sum("ingest.wal_appended", &IngestStats::wal_appended);
+    export_sum("ingest.wal_failed_windows", &IngestStats::wal_failed_windows);
+    export_sum("ingest.checkpoints", &IngestStats::checkpoints);
+    gauges_.Add("ingest.queue_depth",
+                [this] { return static_cast<int64_t>(queue_depth()); });
+    gauges_.Add("ingest.degrade_level",
+                [this] { return static_cast<int64_t>(degrade_level()); });
   }
 
   ~IngestService() {
     if (service_.joinable()) Stop();
     if (server_ != nullptr) executor_->SetPostBatchHook(nullptr);
-    auto& reg = obs::MetricRegistry::Default();
-    reg.UnregisterGauge("ingest.queue_depth", depth_gauge_token_);
-    reg.UnregisterGauge("ingest.degrade_level", level_gauge_token_);
   }
 
   IngestService(const IngestService&) = delete;
@@ -267,11 +285,9 @@ class IngestService {
           rq.q.pop_front();
           --queued_total_;
           stats_.dropped += 1;
-          obs_dropped_->Inc();
           continue;
         case AdmissionPolicy::kBlock:
           stats_.blocks += 1;
-          obs_blocks_->Inc();
           space_cv_.wait(lk, [&] {
             return !accepting_ || rq.q.size() < rq.policy.capacity;
           });
@@ -291,11 +307,9 @@ class IngestService {
         wal_->Append<Ring>(relation, key, payload);
         wal_->Seal(/*sync=*/true);
         stats_.wal_appended += 1;
-        obs_wal_appended_->Inc();
       } catch (const std::exception&) {
         wal_->DropPending();
         stats_.wal_failed_windows += 1;
-        obs_wal_failed_->Inc();
         Shed(1);
         return false;
       }
@@ -304,7 +318,6 @@ class IngestService {
     ++queued_total_;
     queued_depth_.store(queued_total_, std::memory_order_relaxed);
     stats_.admitted += 1;
-    obs_admitted_->Inc();
     lk.unlock();
     ingest_cv_.notify_one();
     return true;
@@ -420,7 +433,6 @@ class IngestService {
 
   void Shed(uint64_t n) {  // caller holds mu_
     stats_.shed += n;
-    obs_shed_->Add(n);
   }
 
   /// The service thread: wait for work, admit, flush on whichever trigger
@@ -519,10 +531,8 @@ class IngestService {
       batcher_->Push(rel, std::move(p.key), std::move(p.payload));
     }
     if (log_window && !moved_.empty()) {
-      const uint64_t n = moved_.size();
-      obs_wal_appended_->Add(n);
       std::lock_guard<std::mutex> lk(mu_);
-      stats_.wal_appended += n;
+      stats_.wal_appended += moved_.size();
     }
     moved_.clear();
   }
@@ -541,22 +551,44 @@ class IngestService {
       // together, so nothing is ever applied unlogged. (If the failure
       // struck after some frames were written, recovery may replay a
       // superset of what the live engine applied — over-delivery, never a
-      // logged-but-lost update.)
-      if (!SupervisedSeal()) {
+      // logged-but-lost update.) Seal() re-writes only the still-unwritten
+      // pending frames on retry and re-arms the group fsync, so a mid-seal
+      // fault never duplicates a frame.
+      sealed = Supervise(
+          &IngestStats::wal_retries,
+          [this](bool) {
+            wal_->Seal(/*sync=*/true);
+            return true;
+          },
+          [] { return false; });
+      if (!sealed) {
         wal_->DropPending();
         batcher_->Flush();  // discard the undurable window
         std::lock_guard<std::mutex> lk(mu_);
         stats_.wal_failed_windows += 1;
-        obs_wal_failed_->Inc();
         return;
       }
-      sealed = true;
     }
-    std::vector<typename exec::DeltaBatcher<Ring>::Batch> batches;
+    using Batches = std::vector<typename exec::DeltaBatcher<Ring>::Batch>;
     try {
-      batches = SupervisedFlush();
+      // Flush throws only before surrendering any accumulator (its
+      // failpoint sits at entry), so a failed flush is retried verbatim.
+      Batches batches = Supervise(
+          &IngestStats::flush_retries,
+          [this](bool) { return batcher_->Flush(); },
+          []() -> Batches { throw; });
       for (auto& b : batches) {
-        SupervisedApply(b.relation, std::move(b.delta));
+        // ApplyBatch consumes its delta but is all-or-nothing with respect
+        // to engine state (and the publish hook never throws), so retrying
+        // from the retained original cannot double-apply.
+        Supervise(
+            &IngestStats::apply_retries,
+            [&](bool last) {
+              executor_->ApplyBatch(b.relation,
+                                    last ? std::move(b.delta)
+                                         : Relation<Ring>(b.delta));
+            },
+            [] { throw; });
       }
     } catch (...) {
       // Retry budget exhausted after a successful seal: the WAL is now
@@ -589,7 +621,6 @@ class IngestService {
         case FlushTrigger::kDrain: stats_.drain_flushes += 1; break;
       }
     }
-    obs_flushes_->Inc();
     UpdateDegradation(vis_ns);
     MaybeCheckpoint();
   }
@@ -616,7 +647,6 @@ class IngestService {
         ckpt_->WriteCheckpoint();
         flushes_since_ckpt_ = 0;
         stats_.checkpoints += 1;
-        obs_checkpoints_->Inc();
       } catch (const std::exception&) {
         stats_.checkpoint_failures += 1;
       }
@@ -627,28 +657,9 @@ class IngestService {
       flushes_since_ckpt_ = 0;
       std::lock_guard<std::mutex> lk(mu_);
       stats_.checkpoints += 1;
-      obs_checkpoints_->Inc();
     } catch (const std::exception&) {
       std::lock_guard<std::mutex> lk(mu_);
       stats_.checkpoint_failures += 1;
-    }
-  }
-
-  /// Window-mode seal with the standard retry/backoff envelope. Returns
-  /// false on exhaustion (caller sheds the window). Seal() re-writes only
-  /// the still-unwritten pending frames on retry and re-arms the group
-  /// fsync, so a mid-seal fault never duplicates a frame.
-  bool SupervisedSeal() {
-    auto backoff = opts_.retry_backoff;
-    for (size_t attempt = 0;; ++attempt) {
-      try {
-        wal_->Seal(/*sync=*/true);
-        return true;
-      } catch (const std::exception&) {
-        if (attempt >= opts_.max_retries) return false;
-        CountRetry(&IngestStats::wal_retries);
-        Backoff(&backoff);
-      }
     }
   }
 
@@ -668,87 +679,38 @@ class IngestService {
       degrade_level_.store(level + 1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lk(mu_);
       stats_.degrade_enters += 1;
-      obs_degrades_->Inc();
     } else if (slo_violations_ == 0 && level > 0) {
       degrade_level_.store(level - 1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lk(mu_);
       stats_.degrade_exits += 1;
-      obs_degrades_->Inc();
     }
     slo_flushes_ = 0;
     slo_violations_ = 0;
   }
 
-  std::vector<typename exec::DeltaBatcher<Ring>::Batch> SupervisedFlush() {
-    // Flush throws only before surrendering any accumulator (its failpoint
-    // sits at entry), so a failed flush is retried verbatim.
+  /// The retry envelope of every supervised stage: runs
+  /// `attempt(last_attempt)` until it returns, counting each retry into
+  /// `retry_field` and sleeping with capped exponential backoff between
+  /// attempts. When the attempt after max_retries retries fails too,
+  /// `on_exhausted` runs inside its handler: it returns the stage's result
+  /// or rethrows with `throw;`.
+  template <typename Attempt, typename OnExhausted>
+  auto Supervise(uint64_t IngestStats::* retry_field, Attempt&& attempt,
+                 OnExhausted&& on_exhausted) {
     auto backoff = opts_.retry_backoff;
-    for (size_t attempt = 0;; ++attempt) {
+    for (size_t retries = 0;; ++retries) {
       try {
-        return batcher_->Flush();
+        return attempt(retries == opts_.max_retries);
       } catch (const std::exception&) {
-        if (attempt >= opts_.max_retries) throw;
-        CountRetry(&IngestStats::flush_retries);
-        Backoff(&backoff);
-      }
-    }
-  }
-
-  void SupervisedApply(int relation, Relation<Ring> delta) {
-    if (opts_.max_retries == 0) {
-      executor_->ApplyBatch(relation, std::move(delta));
-      return;
-    }
-    // ApplyBatch consumes its delta but is all-or-nothing with respect to
-    // engine state (and the publish hook never throws — see
-    // SupervisedPublish), so retrying from a retained copy cannot
-    // double-apply.
-    auto backoff = opts_.retry_backoff;
-    for (size_t attempt = 0;; ++attempt) {
-      Relation<Ring> attempt_delta(delta);
-      try {
-        executor_->ApplyBatch(relation, std::move(attempt_delta));
-        return;
-      } catch (const std::exception&) {
-        if (attempt >= opts_.max_retries) throw;
-        CountRetry(&IngestStats::apply_retries);
-        Backoff(&backoff);
-      }
-    }
-  }
-
-  /// Post-batch hook: publish with retry, absorbing exhaustion. Publish
-  /// runs inside ApplyBatch (after the batch merged into the stores), so an
-  /// escaping exception would make the apply supervisor re-run an already
-  /// applied batch; instead a publish that stays down only delays
-  /// visibility — segments remain staged for the next publish.
-  void SupervisedPublish() {
-    auto backoff = opts_.retry_backoff;
-    for (size_t attempt = 0;; ++attempt) {
-      try {
-        server_->Publish();
-        return;
-      } catch (const std::exception&) {
-        if (attempt >= opts_.max_retries) {
+        if (retries == opts_.max_retries) return on_exhausted();
+        {
           std::lock_guard<std::mutex> lk(mu_);
-          stats_.publish_failures += 1;
-          return;
+          stats_.*retry_field += 1;
         }
-        CountRetry(&IngestStats::publish_retries);
-        Backoff(&backoff);
+        std::this_thread::sleep_for(backoff);
+        backoff = std::min(backoff * 2, opts_.retry_backoff_cap);
       }
     }
-  }
-
-  void CountRetry(uint64_t IngestStats::* field) {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.*field += 1;
-    obs_retries_->Inc();
-  }
-
-  void Backoff(std::chrono::microseconds* backoff) {
-    std::this_thread::sleep_for(*backoff);
-    *backoff = std::min(*backoff * 2, opts_.retry_backoff_cap);
   }
 
   static constexpr uint64_t kNoDeadline =
@@ -790,19 +752,8 @@ class IngestService {
   std::atomic<size_t> degrade_level_{0};
   std::atomic<size_t> queued_depth_{0};
 
-  obs::Counter* obs_admitted_ = nullptr;
-  obs::Counter* obs_shed_ = nullptr;
-  obs::Counter* obs_dropped_ = nullptr;
-  obs::Counter* obs_blocks_ = nullptr;
-  obs::Counter* obs_flushes_ = nullptr;
-  obs::Counter* obs_retries_ = nullptr;
-  obs::Counter* obs_degrades_ = nullptr;
-  obs::Counter* obs_wal_appended_ = nullptr;
-  obs::Counter* obs_wal_failed_ = nullptr;
-  obs::Counter* obs_checkpoints_ = nullptr;
   obs::Histogram* obs_visibility_ns_ = nullptr;
-  uint64_t depth_gauge_token_ = 0;
-  uint64_t level_gauge_token_ = 0;
+  obs::GaugeSet gauges_;  // last: unregisters before the state it reads
 };
 
 }  // namespace fivm::ingest

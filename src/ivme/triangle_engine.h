@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,10 +141,7 @@ class TriangleEngine {
   }
 
   /// The registered gauge callbacks capture `this` — the engine is pinned.
-  /// The latest-constructed engine owns the ivme.* gauge names; the
-  /// registration tokens keep an earlier engine's destructor from tearing
-  /// down its replacement's gauges.
-  ~TriangleEngine() { UnregisterGauges(); }
+  /// The latest-constructed engine owns the ivme.* gauge names.
   TriangleEngine(const TriangleEngine&) = delete;
   TriangleEngine& operator=(const TriangleEngine&) = delete;
 
@@ -390,26 +386,17 @@ class TriangleEngine {
   /// any hot-path recording (ApplyUpdate keeps its plain int64 increments;
   /// the gauge lambdas read them at scrape time).
   void RegisterGauges() {
-    auto& reg = obs::MetricRegistry::Default();
-    auto add = [&](const char* name, std::function<int64_t()> fn) {
-      gauges_.emplace_back(name, reg.RegisterGauge(name, std::move(fn)));
-    };
-    add("ivme.updates", [this] { return stats_.updates; });
-    add("ivme.minor_rebalances", [this] { return stats_.minor_rebalances; });
-    add("ivme.minor_moved_tuples",
-        [this] { return stats_.minor_moved_tuples; });
-    add("ivme.major_rebalances", [this] { return stats_.major_rebalances; });
-    add("ivme.threshold",
-        [this] { return static_cast<int64_t>(theta_); });
-    add("ivme.live_tuples",
-        [this] { return static_cast<int64_t>(live_total_); });
-  }
-
-  void UnregisterGauges() {
-    auto& reg = obs::MetricRegistry::Default();
-    for (const auto& [name, token] : gauges_) {
-      reg.UnregisterGauge(name, token);
-    }
+    gauges_.Add("ivme.updates", [this] { return stats_.updates; });
+    gauges_.Add("ivme.minor_rebalances",
+                [this] { return stats_.minor_rebalances; });
+    gauges_.Add("ivme.minor_moved_tuples",
+                [this] { return stats_.minor_moved_tuples; });
+    gauges_.Add("ivme.major_rebalances",
+                [this] { return stats_.major_rebalances; });
+    gauges_.Add("ivme.threshold",
+                [this] { return static_cast<int64_t>(theta_); });
+    gauges_.Add("ivme.live_tuples",
+                [this] { return static_cast<int64_t>(live_total_); });
   }
 
   struct Rel {
@@ -644,8 +631,7 @@ class TriangleEngine {
   size_t live_total_ = 0;
   size_t rebalance_base_ = 0;
   Stats stats_;
-  /// Registered gauge names + tokens, released in the destructor.
-  std::vector<std::pair<std::string, uint64_t>> gauges_;
+  obs::GaugeSet gauges_;  // last: unregisters before the state it reads
 };
 
 }  // namespace fivm::ivme

@@ -246,4 +246,14 @@ void SampleProbeLength(uint32_t) {}
 
 #endif  // FIVM_METRICS_ENABLED
 
+GaugeSet::~GaugeSet() {
+  auto& reg = MetricRegistry::Default();
+  for (const auto& [name, token] : tokens_) reg.UnregisterGauge(name, token);
+}
+
+void GaugeSet::Add(const std::string& name, std::function<int64_t()> fn) {
+  tokens_.emplace_back(
+      name, MetricRegistry::Default().RegisterGauge(name, std::move(fn)));
+}
+
 }  // namespace fivm::obs

@@ -364,6 +364,24 @@ class MetricRegistry {
   Impl* impl_;  // raw pimpl keeps the header free of map/mutex includes
 };
 
+/// RAII set of pull gauges in the default registry: the way a component
+/// exports numbers it owns without keeping a second copy of them. Add()
+/// registers a callback; the destructor unregisters every gauge of the set
+/// by token, so a dying owner leaves a newer owner of the same name alone.
+/// Declare the set after the state its callbacks read, so it goes first.
+class GaugeSet {
+ public:
+  GaugeSet() = default;
+  ~GaugeSet();
+  GaugeSet(const GaugeSet&) = delete;
+  GaugeSet& operator=(const GaugeSet&) = delete;
+
+  void Add(const std::string& name, std::function<int64_t()> fn);
+
+ private:
+  std::vector<std::pair<std::string, uint64_t>> tokens_;
+};
+
 /// Cold path of the sampled GroupTable probe-length instrumentation:
 /// records `groups` (control groups scanned by one probe) into the
 /// registry histogram "group_table.probe_groups". Call only on sampled

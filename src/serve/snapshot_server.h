@@ -4,13 +4,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,11 +45,11 @@ struct MergePolicy {
 ///  - Publish() — wired per batch via ParallelExecutor::SetPostBatchHook —
 ///    freezes dirty staging relations into segments by move, swaps in a new
 ///    VersionSet, retires the old one, and advances the reclamation epoch;
-///  - MergeStep()/MergeNow() (explicit, or StartBackgroundMerge's thread)
-///    folds base ⊎ segments into the next generation off-lock: segments
-///    coalesce into one differential, which is absorbed into the *spare* —
-///    the base generation the previous merge displaced, double-buffered
-///    against the installed one. The spare is generation g-1; absorbing
+///  - MergeStep()/MergeNow() (IngestService calls MergeStep after each
+///    flush) fold base ⊎ segments into the next generation off-lock:
+///    segments coalesce into one differential, which is absorbed into the
+///    *spare* — the base generation the previous merge displaced,
+///    double-buffered against the installed one. The spare is generation g-1; absorbing
 ///    the previous merge's differential (`last_fold`, which made g) and
 ///    then this one makes it g+1, so a merge costs O(|differential|), not
 ///    O(|base|). The spare is mutated only once no reader can reach it:
@@ -75,11 +72,11 @@ struct MergePolicy {
 /// server lock (serve/epoch.h has the full memory-order argument).
 ///
 /// Threading contract: deltas + Publish() on one writer thread; merges on
-/// one merger thread at a time (serialized internally, so the background
-/// merger and explicit MergeNow calls may overlap); any number of reader
-/// threads up to EpochRegistry::kMaxReaders live snapshots. The server
-/// registers itself as the engine's store-delta observer for its lifetime
-/// and must outlive every Snapshot it hands out. Engine::Initialize
+/// any thread, concurrent with the writer and readers (merges serialize
+/// against each other internally); any number of reader threads up to
+/// EpochRegistry::kMaxReaders live snapshots. The server registers itself
+/// as the engine's store-delta observer for its lifetime and must outlive
+/// every Snapshot it hands out. Engine::Initialize
 /// bypasses the observer — construct the server afterwards, or Rebase().
 template <typename Ring>
 class SnapshotServer {
@@ -125,21 +122,20 @@ class SnapshotServer {
     obs_reads_ = reg.GetCounter("serve.reads");
     obs_base_hits_ = reg.GetCounter("serve.base_hits");
     obs_diff_hits_ = reg.GetCounter("serve.diff_hits");
-    obs_publishes_ = reg.GetCounter("serve.publishes");
-    obs_merges_ = reg.GetCounter("serve.merges");
-    obs_reclaimed_gens_ = reg.GetCounter("serve.reclaimed_generations");
-    obs_merge_failures_ = reg.GetCounter("serve.merge_failures");
     obs_merge_ns_ = reg.GetHistogram("serve.merge_ns");
-    pinned_gauge_token_ = reg.RegisterGauge(
-        "serve.pinned_epochs", [this] { return epochs_.PinnedCount(); });
-    segments_gauge_token_ = reg.RegisterGauge("serve.segments", [this] {
-      return static_cast<int64_t>(
-          segment_count_.load(std::memory_order_relaxed));
+    // Owned here (stats_* atomics, epochs_); the registry reads at scrape.
+    gauges_.Add("serve.pinned_epochs", [this] { return PinnedCount(); });
+    gauges_.Add("serve.segments",
+                [this] { return static_cast<int64_t>(SegmentCount()); });
+    gauges_.Add("serve.publishes",
+                [this] { return static_cast<int64_t>(PublishCount()); });
+    gauges_.Add("serve.merges",
+                [this] { return static_cast<int64_t>(MergeCount()); });
+    gauges_.Add("serve.reclaimed_generations", [this] {
+      return static_cast<int64_t>(ReclaimedGenerations());
     });
-    clones_gauge_token_ =
-        reg.RegisterGauge("serve.cloned_generations", [this] {
-          return static_cast<int64_t>(ClonedGenerations());
-        });
+    gauges_.Add("serve.cloned_generations",
+                [this] { return static_cast<int64_t>(ClonedGenerations()); });
 
     auto* init = new VersionSet();
     init->stores.resize(nodes_.size());
@@ -158,7 +154,6 @@ class SnapshotServer {
                        policy) {}
 
   ~SnapshotServer() {
-    StopBackgroundMerge();
     engine_->SetStoreDeltaObserver(nullptr);
     assert(epochs_.PinnedCount() == 0 &&
            "snapshots must not outlive their server");
@@ -168,10 +163,6 @@ class SnapshotServer {
       retired_.clear();
       delete current_.load(std::memory_order_relaxed);
     }
-    auto& reg = obs::MetricRegistry::Default();
-    reg.UnregisterGauge("serve.pinned_epochs", pinned_gauge_token_);
-    reg.UnregisterGauge("serve.segments", segments_gauge_token_);
-    reg.UnregisterGauge("serve.cloned_generations", clones_gauge_token_);
   }
 
   SnapshotServer(const SnapshotServer&) = delete;
@@ -371,8 +362,8 @@ class SnapshotServer {
     for (char d : dirty_) any |= (d != 0);
     if (!any) {
       // Nothing staged: report the current sequence. The lock (not a pin)
-      // keeps a concurrent background merge from retiring-and-reclaiming
-      // the set between the load and the deref.
+      // keeps a concurrent merge from retiring-and-reclaiming the set
+      // between the load and the deref.
       std::lock_guard<std::mutex> lk(mu_);
       return current_.load(std::memory_order_relaxed)->seq;
     }
@@ -395,7 +386,6 @@ class SnapshotServer {
       staging_[i] = Rel(std::move(schema));
     }
     stats_publishes_.fetch_add(1, std::memory_order_relaxed);
-    obs_publishes_->Inc();
     InstallLocked(next, garbage);
     return next->seq;
   }
@@ -411,58 +401,11 @@ class SnapshotServer {
 
   /// Frees retired VersionSets and displaced generations whose last
   /// possible reader has drained. Publish and merge reclaim
-  /// opportunistically; tests and the background merger call this to
-  /// reclaim without publishing.
+  /// opportunistically; tests call this to reclaim without publishing.
   void Reclaim() {
     Garbage garbage;
     std::lock_guard<std::mutex> lk(mu_);
     ReclaimLocked(garbage);
-  }
-
-  /// Runs MergeStep (and reclamation) every `interval` on a background
-  /// thread until StopBackgroundMerge or destruction.
-  ///
-  /// The merge body is exception-hardened: a throw out of MergeStep (an
-  /// injected "serve.merge*" fault, a real transient failure) would
-  /// otherwise escape the thread and std::terminate the process. Instead
-  /// the failure is counted (MergeFailureCount, obs serve.merge_failures)
-  /// and the thread retries with exponentially growing sleep, capped at
-  /// max(64×interval, 100ms); a successful pass resets the backoff. A
-  /// failed merge installs nothing (see MergeImpl), so retrying is always
-  /// safe — segments just stay differential a little longer.
-  void StartBackgroundMerge(
-      std::chrono::milliseconds interval = std::chrono::milliseconds(1)) {
-    if (merger_.joinable()) return;
-    merger_stop_.store(false, std::memory_order_relaxed);
-    merger_ = std::thread([this, interval] {
-      const std::chrono::milliseconds cap =
-          std::max(interval * 64, std::chrono::milliseconds(100));
-      std::chrono::milliseconds sleep = interval;
-      while (!merger_stop_.load(std::memory_order_acquire)) {
-        try {
-          if (MergeStep() == 0) Reclaim();
-          sleep = interval;
-        } catch (...) {
-          stats_merge_failures_.fetch_add(1, std::memory_order_relaxed);
-          obs_merge_failures_->Inc();
-          sleep = std::min(sleep * 2, cap);
-        }
-        std::unique_lock<std::mutex> lk(merger_mu_);
-        merger_cv_.wait_for(lk, sleep, [this] {
-          return merger_stop_.load(std::memory_order_acquire);
-        });
-      }
-    });
-  }
-
-  void StopBackgroundMerge() {
-    if (!merger_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lk(merger_mu_);
-      merger_stop_.store(true, std::memory_order_release);
-    }
-    merger_cv_.notify_all();
-    merger_.join();
   }
 
   /// Re-freezes every served base from the engine's current stores,
@@ -497,8 +440,8 @@ class SnapshotServer {
   const MergePolicy& policy() const { return policy_; }
   void set_policy(const MergePolicy& p) { policy_ = p; }
 
-  /// Server-local statistics, independent of FIVM_METRICS (the obs
-  /// counters mirror these into the process-wide registry).
+  /// Server-local statistics, live in every build config; the registry
+  /// exports them as serve.* gauges.
   uint64_t PublishCount() const {
     return stats_publishes_.load(std::memory_order_relaxed);
   }
@@ -507,10 +450,6 @@ class SnapshotServer {
   }
   uint64_t MergedKeys() const {
     return stats_merged_keys_.load(std::memory_order_relaxed);
-  }
-  /// Merge passes that threw (and were retried) on the background merger.
-  uint64_t MergeFailureCount() const {
-    return stats_merge_failures_.load(std::memory_order_relaxed);
   }
   uint64_t ReclaimedVersions() const {
     return stats_reclaimed_versions_.load(std::memory_order_relaxed);
@@ -626,7 +565,7 @@ class SnapshotServer {
     for (auto& [epoch, gen] : draining_) {
       if (epoch < min_pinned) {
         garbage.generations.push_back(std::move(gen));
-        CountReclaimedGeneration();
+        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
       } else {
         draining_[kept++] = {epoch, std::move(gen)};
       }
@@ -635,7 +574,7 @@ class SnapshotServer {
     for (FoldState& fs : folds_) {
       if (fs.spare && !fs.spare_drained && fs.spare_epoch < min_pinned) {
         fs.spare_drained = true;
-        CountReclaimedGeneration();
+        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -650,11 +589,6 @@ class SnapshotServer {
       draining_.emplace_back(fs.spare_epoch, std::move(fs.spare));
     }
     fs.spare_drained = false;
-  }
-
-  void CountReclaimedGeneration() {
-    stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
-    obs_reclaimed_gens_->Inc();
   }
 
   size_t MergeImpl(bool force) {
@@ -769,7 +703,6 @@ class SnapshotServer {
       }
     }
     stats_merges_.fetch_add(folds.size(), std::memory_order_relaxed);
-    obs_merges_->Add(folds.size());
     return folds.size();
   }
 
@@ -795,16 +728,10 @@ class SnapshotServer {
   mutable EpochRegistry epochs_;
   std::mutex merge_mu_;  // serializes MergeImpl and Rebase
 
-  std::thread merger_;
-  std::mutex merger_mu_;
-  std::condition_variable merger_cv_;
-  std::atomic<bool> merger_stop_{false};
-
   /// Server-local stats (live in every build config; tests read these).
   std::atomic<uint64_t> stats_publishes_{0};
   std::atomic<uint64_t> stats_merges_{0};
   std::atomic<uint64_t> stats_merged_keys_{0};
-  std::atomic<uint64_t> stats_merge_failures_{0};
   std::atomic<uint64_t> stats_reclaimed_versions_{0};
   std::atomic<uint64_t> stats_reclaimed_generations_{0};
   std::atomic<uint64_t> stats_cloned_generations_{0};
@@ -814,14 +741,8 @@ class SnapshotServer {
   obs::Counter* obs_reads_ = nullptr;
   obs::Counter* obs_base_hits_ = nullptr;
   obs::Counter* obs_diff_hits_ = nullptr;
-  obs::Counter* obs_publishes_ = nullptr;
-  obs::Counter* obs_merges_ = nullptr;
-  obs::Counter* obs_reclaimed_gens_ = nullptr;
-  obs::Counter* obs_merge_failures_ = nullptr;
   obs::Histogram* obs_merge_ns_ = nullptr;
-  uint64_t pinned_gauge_token_ = 0;
-  uint64_t segments_gauge_token_ = 0;
-  uint64_t clones_gauge_token_ = 0;
+  obs::GaugeSet gauges_;  // last: unregisters before the state it reads
 };
 
 }  // namespace fivm::serve

@@ -67,9 +67,9 @@ constexpr size_t GroupCapacityFor(size_t n) {
   return cap;
 }
 
-/// Home group of `hash` in a table of `capacity` slots — the sort key of
-/// home-cell-clustered bulk absorbs (relation_ops.h): inserting keys in
-/// ascending home group sweeps the control and slot arrays sequentially.
+/// Home group of `hash` in a table of `capacity` slots: inserting keys in
+/// ascending home group sweeps the control and slot arrays sequentially
+/// (BM_AbsorbHashOrdered measures that sweep).
 constexpr size_t GroupHomeIndex(uint64_t hash, size_t capacity) {
   return GroupH1(hash) & (capacity / kGroupWidth - 1);
 }
@@ -372,12 +372,6 @@ class GroupTable {
   void Reserve(size_t n, HashOf&& hash_of) {
     size_t needed = GroupCapacityFor(n);
     if (needed > capacity_) Rehash(needed, hash_of);
-  }
-
-  /// The capacity this table would occupy after Reserve(n) — the mask the
-  /// home-cell-clustered absorb path sorts against.
-  size_t CapacityAfterReserve(size_t n) const {
-    return std::max(capacity_, GroupCapacityFor(n));
   }
 
   /// Iterates over live slots: `fn(Slot&)` / `fn(const Slot&)`.

@@ -227,8 +227,8 @@ TEST(GroupTableFuzzTest, ScalarGroupMatchesSse2Semantics) {
 
 // Presize proofs for the rehash counter (MemoryTracker::RehashCount counts
 // in every binary — no allocator hooks needed): a reserved table absorbs its
-// advertised size with zero growth rehashes, and the clustered bulk-absorb
-// path rehashes at most once (its own up-front presize).
+// advertised size with zero growth rehashes, and a presized bulk absorb
+// rehashes at most once (its own up-front presize).
 TEST(GroupTableFuzzTest, ReserveMakesBulkInsertRehashFree) {
   Map m;
   m.Reserve(20000);
@@ -250,41 +250,42 @@ TEST(GroupTableFuzzTest, PresizedAbsorbRehashesAtMostOnce) {
   EXPECT_EQ(store.size(), 50000u);
 }
 
-// The gated home-cell-clustered absorb path (disabled by default — see the
-// relation_ops.h measurement note) must produce exactly the contents of an
-// arrival-order absorb, for both the copying and the consuming overload,
-// with overlapping keys and zero-crossing tombstones in the delta. Also a
-// presize proof: the clustered path reserves up front and never rehashes
-// mid-absorb.
-TEST(GroupTableFuzzTest, ClusteredAbsorbMatchesArrivalOrderContents) {
+// The copying and the consuming AbsorbInto overloads must agree on a delta
+// large enough for the presize path, with overlapping keys, keys whose
+// payload cancels against the store, and tombstones inside the delta. The
+// consuming overload presizes once up front and never rehashes mid-absorb.
+TEST(GroupTableFuzzTest, AbsorbOverloadsAgreeOnZeroCrossingDelta) {
   util::Rng rng(66);
   Relation<I64Ring> base(Schema{0, 1});
   Relation<I64Ring> delta(Schema{0, 1});
   for (int64_t i = 0; i < 20000; ++i) {
     base.Add(Tuple::Ints({i, i % 97}), 1 + static_cast<int64_t>(rng.Uniform(5)));
   }
+  // Zero-crossing keys: the delta cancels their base payload.
+  for (int64_t i = 14000; i < 15000; ++i) {
+    Tuple key = Tuple::Ints({i, i % 97});
+    delta.Add(key, -*base.Find(key));
+  }
   for (int64_t i = 15000; i < 40000; ++i) {
     delta.Add(Tuple::Ints({i, i % 97}), 1);
   }
-  // Zero-crossing keys: payload cancels against the base store.
+  // Tombstones inside the delta itself.
   for (int64_t i = 15000; i < 15200; ++i) {
     delta.Add(Tuple::Ints({i, i % 97}), -1);
   }
+  ASSERT_GE(delta.size(), kPresizeAbsorbMinKeys);
 
-  Relation<I64Ring> arrival = base;
-  AbsorbInto(arrival, delta);  // knob disabled: arrival order
-
-  ClusteredAbsorbMinKeys().store(1024);
-  Relation<I64Ring> clustered_copy = base;
-  AbsorbInto(clustered_copy, delta);
-  Relation<I64Ring> clustered_move = base;
+  Relation<I64Ring> copied = base;
+  AbsorbInto(copied, delta);
+  Relation<I64Ring> consumed = base;
   int64_t before = util::MemoryTracker::RehashCount();
-  AbsorbInto(clustered_move, Relation<I64Ring>(delta));
+  AbsorbInto(consumed, Relation<I64Ring>(delta));
   EXPECT_LE(util::MemoryTracker::RehashCount() - before, 1);
-  ClusteredAbsorbMinKeys().store(kClusteredAbsorbDisabled);
 
-  EXPECT_TRUE(ContentEquals(arrival, clustered_copy));
-  EXPECT_TRUE(ContentEquals(arrival, clustered_move));
+  EXPECT_TRUE(ContentEquals(copied, consumed));
+  // 20000 base keys - 1000 cancelled + 20000 new.
+  EXPECT_EQ(consumed.size(), 39000u);
+  EXPECT_EQ(consumed.Find(Tuple::Ints({14500, 14500 % 97})), nullptr);
 }
 
 }  // namespace

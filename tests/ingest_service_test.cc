@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/exec/parallel_executor.h"
 #include "src/exec/thread_pool.h"
 #include "src/ingest/ingest_service.h"
+#include "src/obs/metrics.h"
 #include "src/rings/ring.h"
 #include "src/serve/snapshot_server.h"
 #include "src/util/fail_point.h"
@@ -378,6 +380,76 @@ TEST(IngestServiceTest, PublishFailurePastBudgetDelaysVisibilityOnly) {
   // Both flushes' segments became visible together.
   EXPECT_TRUE(ContentEquals(snap.Materialize(), p.engine->result()));
 }
+
+#if FIVM_METRICS_ENABLED
+/// The exported value of `name`, whichever kind of metric carries it.
+std::optional<uint64_t> Exported(const obs::MetricsSnapshot& snap,
+                                 const std::string& name) {
+  for (const auto& [n, v] : snap.counters) {
+    if (n == name) return v;
+  }
+  for (const auto& [n, v] : snap.gauges) {
+    if (n == name) return static_cast<uint64_t>(v);
+  }
+  return std::nullopt;
+}
+
+TEST(IngestServiceTest, ExportedCountersEqualTheirOwners) {
+  // The registry must read IngestStats and the server's stats, not keep a
+  // second count — so the export stays exact even while runtime recording
+  // is switched off.
+  struct MetricsOff {
+    MetricsOff() { obs::SetEnabled(false); }
+    ~MetricsOff() { obs::SetEnabled(true); }
+  } metrics_off;
+  ServiceOptions opts;
+  opts.flush_updates = 256;
+  opts.retry_backoff = std::chrono::microseconds(1);
+  Pipeline p(opts);
+  // Batches of 100 distinct keys take the parallel path, where the
+  // exec.task failpoint sits.
+  p.service->SetQueuePolicy(0, {AdmissionPolicy::kShedNewest, 100});
+  p.service->SetQueuePolicy(1, {AdmissionPolicy::kDropOldest, 100});
+  for (int64_t i = 0; i < 120; ++i) {
+    p.service->Offer(0, Tuple::Ints({i, i % 3}), 1);
+    p.service->Offer(1, Tuple::Ints({i % 3, i}), 1);
+  }
+  auto& fp = util::FailPointRegistry::Default();
+  fp.Arm("batcher.flush", 1.0, /*seed=*/41, /*max_fires=*/2);
+  fp.Arm("exec.task", 1.0, /*seed=*/42, /*max_fires=*/2);
+  fp.Arm("serve.publish", 1.0, /*seed=*/43, /*max_fires=*/2);
+  p.service->DrainNow();
+  fp.DisarmAll();
+  p.server->MergeNow();
+
+  const IngestStats st = p.service->GetStats();
+  EXPECT_GT(st.shed, 0u);
+  EXPECT_GT(st.dropped, 0u);
+  EXPECT_GT(st.flush_retries, 0u);
+  EXPECT_GT(st.apply_retries, 0u);
+  EXPECT_GT(st.publish_retries, 0u);
+  const obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"ingest.admitted", st.admitted},
+      {"ingest.shed", st.shed},
+      {"ingest.dropped", st.dropped},
+      {"ingest.blocks", st.blocks},
+      {"ingest.flushes", st.flushes},
+      {"ingest.retries", st.flush_retries + st.apply_retries +
+                             st.publish_retries + st.wal_retries},
+      {"ingest.degrade_transitions", st.degrade_enters + st.degrade_exits},
+      {"ingest.wal_appended", st.wal_appended},
+      {"ingest.wal_failed_windows", st.wal_failed_windows},
+      {"ingest.checkpoints", st.checkpoints},
+      {"serve.publishes", p.server->PublishCount()},
+      {"serve.merges", p.server->MergeCount()},
+  };
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(Exported(snap, name), std::optional<uint64_t>(value)) << name;
+  }
+  EXPECT_GT(p.server->MergeCount(), 0u);
+}
+#endif  // FIVM_METRICS_ENABLED
 #endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace

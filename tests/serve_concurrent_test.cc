@@ -1,7 +1,7 @@
 // Concurrent reader/writer fuzz over the snapshot server: N reader threads
 // issue point lookups and scans against pinned snapshots while one writer
 // propagates randomized insert/delete batches and publishes each, with
-// merges running inline or on the background thread. The invariant under
+// merges running inline or on a concurrent merge thread. The invariant under
 // test is prefix consistency: every snapshot equals the store state after
 // exactly its pinned prefix of published batches — never a torn batch,
 // never a vanished one. These tests are workload for the TSan/ASan CI jobs.
@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <stop_token>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -182,12 +184,22 @@ TEST(ServeConcurrentTest, ReadersStayPrefixConsistentUnderBackgroundMerger) {
   policy.max_segments = 2;
   policy.max_diff_keys = 64;
   Server server(&*f.engine, policy);
-  server.StartBackgroundMerge(std::chrono::milliseconds(1));
 
+  // A test-owned merge thread: folds race the writer's publishes and the
+  // readers' pins.
+  std::jthread merger([&server](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      if (server.MergeStep() == 0) {
+        server.Reclaim();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
   FuzzResult r;
   RunFuzz(f, server, /*readers=*/4, /*batches=*/120,
           /*updates_per_batch=*/48, /*inline_merge=*/false, r);
-  server.StopBackgroundMerge();
+  merger.request_stop();
+  merger.join();
 
   EXPECT_EQ(r.scan_mismatches.load(), 0u);
   EXPECT_EQ(r.lookup_mismatches.load(), 0u);

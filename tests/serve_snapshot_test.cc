@@ -1,12 +1,15 @@
 // Versioned snapshot serving over IVM view stores (src/serve/): epoch-pinned
 // snapshots, publish-per-batch visibility, differential segments, ordered
-// background merge, and deferred reclamation. Single-threaded semantics here;
+// merges, and deferred reclamation. Mostly single-threaded semantics here;
 // the concurrent reader/writer fuzz lives in serve_concurrent_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <stop_token>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -522,8 +525,16 @@ TEST(SnapshotServerTest, BackgroundMergerFoldsWhilePublishing) {
   policy.max_segments = 2;
   policy.max_diff_keys = 8;
   Server server(&*f.engine, policy);
-  server.StartBackgroundMerge(std::chrono::milliseconds(1));
 
+  // A test-owned merge thread races the publishes below.
+  std::jthread merger([&server](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      if (server.MergeStep() == 0) {
+        server.Reclaim();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
   util::Rng rng(31);
   for (int batch = 0; batch < 200; ++batch) {
     std::vector<std::pair<int64_t, int64_t>> rows;
@@ -531,7 +542,8 @@ TEST(SnapshotServerTest, BackgroundMergerFoldsWhilePublishing) {
     f.Apply(0, std::move(rows));
     server.Publish();
   }
-  server.StopBackgroundMerge();
+  merger.request_stop();
+  merger.join();
   server.MergeNow();
 
   EXPECT_GT(server.MergeCount(), 0u);
@@ -581,38 +593,6 @@ TEST(EpochRegistryTest, TryAcquireSlotReturnsSentinelWhenSaturated) {
 }
 
 #if !defined(FIVM_FAILPOINTS_OFF)
-TEST(SnapshotServerTest, BackgroundMergerSurvivesInjectedMergeFaults) {
-  // Satellite: exceptions escaping StartBackgroundMerge's thread used to
-  // std::terminate the process. With "serve.merge" armed to fire its first
-  // 3 evaluations, the merger must count 3 failures, back off, retry, and
-  // eventually fold the segments; the version chain stays consistent
-  // throughout.
-  Fixture f;
-  Server server(&*f.engine, MergePolicy{.max_segments = 1, .max_diff_keys = 1});
-
-  auto& fp = util::FailPointRegistry::Default();
-  fp.Arm("serve.merge", 1.0, /*seed=*/11, /*max_fires=*/3);
-  server.StartBackgroundMerge(std::chrono::milliseconds(1));
-
-  f.Apply(0, {{1, 10}, {2, 20}});
-  f.Apply(1, {{10, 5}, {20, 6}});
-  server.Publish();
-
-  // Wait (bounded) for the merger to burn through the injected faults and
-  // then complete a real merge.
-  for (int i = 0; i < 4000 && server.MergeCount() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  server.StopBackgroundMerge();
-  fp.DisarmAll();
-
-  EXPECT_EQ(server.MergeFailureCount(), 3u);
-  EXPECT_GE(server.MergeCount(), 1u);
-  auto snap = server.Acquire();
-  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
-  EXPECT_EQ(snap.segment_count(), 0u);  // the retried merge folded them
-}
-
 TEST(SnapshotServerTest, FailedPublishLeavesStagingRetryable) {
   // A publish that throws (failpoint at entry) must leave staged segments
   // intact: the retry publishes exactly once, with nothing lost or
