@@ -220,8 +220,7 @@ void Run() {
 
   // The amortization machinery must actually run (CI smoke asserts this).
   // The counters come from the registry scrape — the ivme gauges bridged
-  // by TriangleEngine — not from a bespoke stats call; with metrics
-  // compiled out the engine's own stats string still supplies the line.
+  // by TriangleEngine — not from a bespoke stats call.
   const obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
   auto gauge = [&snap](const char* name) -> long long {
     for (const auto& [n, v] : snap.gauges) {
@@ -229,16 +228,12 @@ void Run() {
     }
     return 0;
   };
-  if (!snap.empty()) {
-    std::printf("REBALANCE IVM-EPS: updates=%lld minor=%lld moved=%lld "
-                "major=%lld threshold=%lld live=%lld\n",
-                gauge("ivme.updates"), gauge("ivme.minor_rebalances"),
-                gauge("ivme.minor_moved_tuples"),
-                gauge("ivme.major_rebalances"), gauge("ivme.threshold"),
-                gauge("ivme.live_tuples"));
-  } else {
-    std::printf("REBALANCE IVM-EPS: %s\n", eps->StatsString().c_str());
-  }
+  std::printf("REBALANCE IVM-EPS: updates=%lld minor=%lld moved=%lld "
+              "major=%lld threshold=%lld live=%lld\n",
+              gauge("ivme.updates"), gauge("ivme.minor_rebalances"),
+              gauge("ivme.minor_moved_tuples"),
+              gauge("ivme.major_rebalances"), gauge("ivme.threshold"),
+              gauge("ivme.live_tuples"));
 
   // Count verification across arms that completed the stream.
   const RunResult& eps_run = arms[0].runs.back();

@@ -67,7 +67,8 @@ inline void PrintTimeoutRow(const char* system, double fraction,
 /// accumulated over its run (unit = batch, update or tuple — named in
 /// `unit`). Printed after the throughput series so collect_bench_json.py
 /// attaches the percentiles to the same system entry. Skipped when the
-/// histogram is empty (e.g. FIVM_METRICS=OFF binaries record nothing).
+/// histogram is empty (e.g. a run with obs::SetEnabled(false) records
+/// nothing).
 inline void PrintLatencyRow(const char* system, const obs::Histogram& hist,
                             const char* unit) {
   const obs::HistogramSnapshot s = hist.Snap();

@@ -25,8 +25,8 @@ namespace fivm::bench {
 /// Every apply() call is individually timed into a per-run latency
 /// histogram, printed as a LATENCY row (p50/p99/p999, unit=batch) after the
 /// series — the paper's per-update maintenance cost as a distribution, not
-/// a mean. With metrics compiled out or disabled the histogram stays empty
-/// and no row is printed.
+/// a mean. With metrics disabled the histogram stays empty and no row is
+/// printed.
 inline uint64_t RunSeries(const char* system,
                           const workloads::UpdateStream& stream,
                           const std::function<void(

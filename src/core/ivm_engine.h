@@ -23,7 +23,6 @@
 
 namespace fivm {
 
-#if FIVM_METRICS_ENABLED
 namespace engine_obs {
 
 /// Observed execution profile of one compiled plan step, accumulated across
@@ -47,7 +46,6 @@ struct LeafObs {
 };
 
 }  // namespace engine_obs
-#endif  // FIVM_METRICS_ENABLED
 
 /// F-IVM: the factorized higher-order incremental view maintenance engine
 /// (Section 4). Owns the materialized stores of a view tree and implements
@@ -152,12 +150,10 @@ class IvmEngine {
   }
 
   void ApplyDelta(int relation, Relation<Ring>&& delta) {
-#if FIVM_METRICS_ENABLED
     if (applied_deltas_ != nullptr) {
       applied_deltas_->Inc();
       applied_tuples_->Add(delta.size());
     }
-#endif
     // Indicator deltas are derived from the pre-update base relation.
     std::vector<std::pair<int, Relation<Ring>>> indicator_deltas;
     for (int leaf : tree_->IndicatorLeavesOfRelation(relation)) {
@@ -390,7 +386,6 @@ class IvmEngine {
     const Relation<Ring>* left = &owned;
     if (stage_leaf) left = &store_delta(from, std::move(owned));
     int next_buf = 0;
-#if FIVM_METRICS_ENABLED
     // Per-step profile: timer + tuple counts + allocation delta, recorded
     // into the engine-owned step atomics that ExplainAnalyze reads. One
     // Enabled() load decides the whole propagation; a disabled run pays a
@@ -400,10 +395,8 @@ class IvmEngine {
             ? obs_by_node_[static_cast<size_t>(from)].get()
             : nullptr;
     size_t step_i = 0;
-#endif
     for (const plan::PropagationStep& s : p.steps()) {
       if (left->empty()) return;  // nothing changes upstream
-#if FIVM_METRICS_ENABLED
       uint64_t t0 = 0;
       int64_t a0 = 0;
       size_t in_n = 0;
@@ -412,7 +405,6 @@ class IvmEngine {
         a0 = util::MemoryTracker::AllocationCount();
         in_n = left->size();
       }
-#endif
       switch (s.kind) {
         case plan::PropagationStep::Kind::kJoin: {
           Relation<Ring>& out = scratch->buf[next_buf];
@@ -451,7 +443,6 @@ class IvmEngine {
           break;
         }
       }
-#if FIVM_METRICS_ENABLED
       if (lobs != nullptr) {
         engine_obs::StepObs& so = lobs->step[step_i];
         so.calls.fetch_add(1, std::memory_order_relaxed);
@@ -466,7 +457,6 @@ class IvmEngine {
             std::memory_order_relaxed);
       }
       ++step_i;
-#endif
     }
   }
 
@@ -509,10 +499,9 @@ class IvmEngine {
   /// with the observed execution profile — calls, input/output tuples,
   /// cumulative wall time and heap allocations (allocations require the
   /// memhook-linked binaries; elsewhere they read 0). Steps a propagation
-  /// never reached show calls=0. With FIVM_METRICS=OFF this degrades to the
-  /// plain static plan dump.
+  /// never reached show calls=0; steps run while obs::SetEnabled(false)
+  /// was in force are not counted.
   std::string ExplainAnalyze() const {
-#if FIVM_METRICS_ENABLED
     std::string out;
     for (const plan::PropagationPlan& p : plans_.plans()) {
       const engine_obs::LeafObs* lobs =
@@ -543,9 +532,6 @@ class IvmEngine {
       });
     }
     return out;
-#else
-    return plans_.DebugString();
-#endif
   }
 
   /// Non-incremental evaluation (F-RE): computes the root view over `db`
@@ -573,7 +559,6 @@ class IvmEngine {
     }
     if (compile_plans) {
       plans_ = plan::PlanSet::Compile(*tree_, TrivialityOf(lifts_));
-#if FIVM_METRICS_ENABLED
       obs_by_node_.resize(tree_->nodes().size());
       for (const plan::PropagationPlan& p : plans_.plans()) {
         obs_by_node_[static_cast<size_t>(p.leaf())] =
@@ -582,7 +567,6 @@ class IvmEngine {
       auto& reg = obs::MetricRegistry::Default();
       applied_deltas_ = reg.GetCounter("engine.applied_deltas");
       applied_tuples_ = reg.GetCounter("engine.applied_tuples");
-#endif
     }
   }
   const Schema& query_relation_schema(int relation) const {
@@ -756,7 +740,6 @@ class IvmEngine {
   /// Serving-layer tee over absorbed store deltas (empty = one untaken
   /// branch per absorb). Invoked on the absorbing thread only.
   StoreDeltaObserver store_delta_observer_;
-#if FIVM_METRICS_ENABLED
   /// Per-plan-step execution profiles, indexed by leaf node id (null for
   /// non-leaf nodes and for plan-less engines). unique_ptr keeps the
   /// atomic-holding LeafObs at a stable address — PropagateDelta is const
@@ -764,7 +747,6 @@ class IvmEngine {
   std::vector<std::unique_ptr<engine_obs::LeafObs>> obs_by_node_;
   obs::Counter* applied_deltas_ = nullptr;  // engine.applied_deltas
   obs::Counter* applied_tuples_ = nullptr;  // engine.applied_tuples
-#endif
 };
 
 }  // namespace fivm

@@ -141,9 +141,9 @@ struct ServiceOptions {
   size_t checkpoint_every_flushes = 0;
 };
 
-/// The service's counters, live in every build config (tests and benches
-/// read them with FIVM_METRICS=OFF too). The registry exports them as
-/// ingest.* gauges read from here — this struct is their only owner.
+/// The service's counters, kept whether or not obs::Enabled() (tests and
+/// benches read them with metrics switched off too). The registry exports
+/// them as ingest.* gauges read from here — this struct is their only owner.
 struct IngestStats {
   uint64_t admitted = 0;
   uint64_t shed = 0;          // kShedNewest rejections (+ offers after Stop)
@@ -423,8 +423,8 @@ class IngestService {
   enum class FlushTrigger { kSize, kDeadline, kDrain };
 
   static uint64_t NowNs() {
-    // steady_clock, not obs::TickClock: control decisions must work with
-    // FIVM_METRICS=OFF (where TickClock::Now() is a zero stub).
+    // steady_clock, not obs::TickClock: flush deadlines are waited on with
+    // Clock::time_point, so they must be stamped in the same clock's units.
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             Clock::now().time_since_epoch())

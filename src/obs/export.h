@@ -3,8 +3,7 @@
 
 /// Renderers for a MetricsSnapshot. Both work on the merged snapshot (never
 /// the live shards), so they are pure string builders with no concurrency
-/// concerns, and both compile unchanged when FIVM_METRICS=OFF (they just
-/// render an empty snapshot).
+/// concerns.
 
 #include <string>
 

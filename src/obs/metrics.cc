@@ -10,8 +10,6 @@
 
 namespace fivm::obs {
 
-#if FIVM_METRICS_ENABLED
-
 namespace detail {
 
 std::atomic<bool> g_runtime_enabled{true};
@@ -211,40 +209,6 @@ Histogram* const g_probe_hist =
 }  // namespace
 
 void SampleProbeLength(uint32_t groups) { g_probe_hist->Record(groups); }
-
-#else  // !FIVM_METRICS_ENABLED
-
-namespace {
-Counter g_dummy_counter;
-Histogram g_dummy_histogram;
-}  // namespace
-
-struct MetricRegistry::Impl {};
-MetricRegistry::MetricRegistry() : impl_(nullptr) {}
-MetricRegistry::~MetricRegistry() {}
-
-MetricRegistry& MetricRegistry::Default() {
-  static MetricRegistry reg;
-  return reg;
-}
-
-Counter* MetricRegistry::GetCounter(const std::string&) {
-  return &g_dummy_counter;
-}
-Histogram* MetricRegistry::GetHistogram(const std::string&) {
-  return &g_dummy_histogram;
-}
-uint64_t MetricRegistry::RegisterGauge(const std::string&,
-                                       std::function<int64_t()>) {
-  return 0;
-}
-void MetricRegistry::UnregisterGauge(const std::string&, uint64_t) {}
-MetricsSnapshot MetricRegistry::Snapshot() const { return {}; }
-void MetricRegistry::ResetAll() {}
-
-void SampleProbeLength(uint32_t) {}
-
-#endif  // FIVM_METRICS_ENABLED
 
 GaugeSet::~GaugeSet() {
   auto& reg = MetricRegistry::Default();

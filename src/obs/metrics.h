@@ -16,14 +16,9 @@
 /// relaxed fetch_add on a per-thread shard (tests/zero_alloc_probe_test.cc
 /// proves the no-allocation property). Timers read the TSC and convert with
 /// a calibration cached at first use, so a timestamp costs ~10ns, not a
-/// clock_gettime syscall. Two switches exist:
-///  - compile time: -DFIVM_METRICS=OFF (CMake) defines FIVM_METRICS_OFF and
-///    compiles every type here down to empty no-op stubs — instrumented
-///    call sites vanish entirely;
-///  - run time: SetEnabled(false) short-circuits recording behind one
-///    relaxed atomic load.
-/// Both default to on; the figure-bench A/B (metrics-on vs OFF binaries)
-/// bounds the on-cost at ≤2% on the fig7/fig13 hot loops.
+/// clock_gettime syscall. The subsystem is always compiled in; the one
+/// switch is at run time: SetEnabled(false) short-circuits recording behind
+/// one relaxed atomic load (default on).
 
 #include <atomic>
 #include <bit>
@@ -34,20 +29,17 @@
 #include <utility>
 #include <vector>
 
-#if defined(FIVM_METRICS_OFF)
-#define FIVM_METRICS_ENABLED 0
-#else
+// Always 1. perfbench/fullstack.cc reads it for the `metrics_on` field of
+// its ENV line.
 #define FIVM_METRICS_ENABLED 1
-#endif
 
-#if FIVM_METRICS_ENABLED && defined(__x86_64__)
+#if defined(__x86_64__)
 #include <x86intrin.h>
 #endif
 
 namespace fivm::obs {
 
-/// Merged, point-in-time view of one histogram (always available, even in
-/// the compiled-out build, so exporters and benches compile unchanged).
+/// Merged, point-in-time view of one histogram.
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum = 0;   // of recorded values (ns for timer histograms)
@@ -63,17 +55,12 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-  bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
 };
 
 /// Shards per metric. Each recording thread hashes to one shard; shards are
 /// cache-line separated so concurrent recorders do not false-share. More
 /// threads than shards merely share fetch_add targets (still correct).
 inline constexpr size_t kShards = 8;
-
-#if FIVM_METRICS_ENABLED
 
 namespace detail {
 extern std::atomic<bool> g_runtime_enabled;
@@ -258,73 +245,26 @@ class Histogram {
   Shard shards_[kShards];
 };
 
-#else  // !FIVM_METRICS_ENABLED — every type is an empty no-op stub.
-
-inline bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-class TickClock {
- public:
-  static uint64_t Now() { return 0; }
-  static double NsPerTick() { return 1.0; }
-  static uint64_t ToNanos(uint64_t) { return 0; }
-};
-
-class Counter {
- public:
-  void Add(uint64_t) {}
-  void Inc() {}
-  uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  static constexpr int kSubBits = 3;
-  static constexpr size_t kNumBuckets = 512;
-  static size_t BucketOf(uint64_t) { return 0; }
-  static uint64_t BucketLo(size_t) { return 0; }
-  static uint64_t BucketHi(size_t) { return 0; }
-  void Record(uint64_t) {}
-  void RecordTicks(uint64_t) {}
-  uint64_t Count() const { return 0; }
-  uint64_t Sum() const { return 0; }
-  uint64_t MaxValue() const { return 0; }
-  double Percentile(double) const { return 0; }
-  HistogramSnapshot Snap() const { return {}; }
-  void Reset() {}
-};
-
-#endif  // FIVM_METRICS_ENABLED
-
 /// RAII wall-time recorder: measures the scope and records nanoseconds
 /// into `h`. A null histogram (or disabled metrics) records nothing and
 /// reads no clock.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* h) {
-#if FIVM_METRICS_ENABLED
     if (h != nullptr && Enabled()) {
       h_ = h;
       start_ = TickClock::Now();
     }
-#else
-    (void)h;
-#endif
   }
   ~ScopedTimer() {
-#if FIVM_METRICS_ENABLED
     if (h_ != nullptr) h_->RecordTicks(TickClock::Now() - start_);
-#endif
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-#if FIVM_METRICS_ENABLED
   Histogram* h_ = nullptr;
   uint64_t start_ = 0;
-#endif
 };
 
 /// Process-wide registry of named metrics. Lookup (mutexed) belongs at
@@ -395,7 +335,6 @@ __attribute__((cold, noinline))
 #endif
 void SampleProbeLength(uint32_t groups);
 
-#if FIVM_METRICS_ENABLED
 /// 1-in-128 deterministic sampling keyed on the probe's H2 control tag.
 /// The tag is the one hash-derived value the probe loop already keeps in a
 /// register (every group scan matches against it), so the test adds zero
@@ -412,11 +351,6 @@ void SampleProbeLength(uint32_t groups);
           static_cast<uint32_t>(groups));                        \
     }                                                            \
   } while (0)
-#else
-#define FIVM_OBS_SAMPLE_PROBE(h2_tag, groups) \
-  do {                                        \
-  } while (0)
-#endif
 
 }  // namespace fivm::obs
 

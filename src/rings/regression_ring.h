@@ -57,14 +57,7 @@ class RegressionPayload {
   /// (fig13 F-IVM store 22.8 → 15.7 MB with regression arms 1.2-1.9×
   /// faster; fig7 ~1.08× and 11.4 → 9.3 MB — interleaved medians, see
   /// ROADMAP PR 5 entry).
-  ///
-  /// Still overridable at configure time
-  /// (-DFIVM_REGRESSION_INLINE_DOUBLES=N) for cache-layout experiments on
-  /// other hosts.
-#ifndef FIVM_REGRESSION_INLINE_DOUBLES
-#define FIVM_REGRESSION_INLINE_DOUBLES 2
-#endif
-  static constexpr size_t kInlineDoubles = FIVM_REGRESSION_INLINE_DOUBLES;
+  static constexpr size_t kInlineDoubles = 2;
 
   double count() const { return c_; }
   uint32_t lo() const { return lo_; }

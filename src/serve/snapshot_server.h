@@ -737,7 +737,7 @@ class SnapshotServer {
   std::atomic<uint64_t> stats_cloned_generations_{0};
   std::atomic<size_t> segment_count_{0};
 
-  /// Registry handles (process lifetime; stubs when FIVM_METRICS=OFF).
+  /// Registry handles (process lifetime; record nothing while obs is off).
   obs::Counter* obs_reads_ = nullptr;
   obs::Counter* obs_base_hits_ = nullptr;
   obs::Counter* obs_diff_hits_ = nullptr;

@@ -20,9 +20,9 @@ namespace fivm::util {
 ///
 /// Dispatch follows src/util/simd.h exactly, one rung down (SSE4.2 instead
 /// of AVX2):
-///  1. Build: non-x86-64 targets or -DFIVM_HWCRC=OFF (defines
-///     FIVM_CRC32C_NO_SSE42) drop the hardware arm; every call takes the
-///     slice-by-8 table fallback.
+///  1. Build: non-x86-64 targets, or a compiler that lacks -msse4.2 (CMake
+///     then defines FIVM_CRC32C_NO_SSE42), drop the hardware arm; every call
+///     takes the slice-by-8 table fallback.
 ///  2. CPU: the hardware arm runs only when __builtin_cpu_supports("sse4.2").
 ///  3. Environment: FIVM_DISABLE_HWCRC=1 pins the table path at startup.
 ///  4. SetHardwareCrcActive(false/true): tests and benches toggle arms at

@@ -1,5 +1,5 @@
 // The SSE4.2 hardware CRC-32C arm. This is the only translation unit built
-// with -msse4.2 (see the FIVM_HWCRC block in CMakeLists.txt), mirroring how
+// with -msse4.2 (see the -msse4.2 probe in CMakeLists.txt), mirroring how
 // src/util/simd_avx2.cc isolates -mavx2: the rest of the engine never emits
 // an instruction the baseline target does not have, and runtime dispatch in
 // crc32c.h decides per-process whether this arm is reachable.

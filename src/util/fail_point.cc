@@ -266,6 +266,9 @@ void FailPointRegistry::MaybeFail(const char* site) {
         s.nth = 0;
         s.max_fires = impl_->wildcard_max_fires;
         s.rng = HashSite(site) ^ impl_->wildcard_seed;
+        // The wildcard only throws; an action left over from an earlier
+        // explicit arming of this site must not turn it into a kill.
+        s.action = FailAction::kThrow;
         s.stats = {};
       }
       it = impl_->sites.find(site);

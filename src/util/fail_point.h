@@ -9,8 +9,7 @@
 // Design goals:
 //   * Zero cost when nothing is armed: the FIVM_FAIL_POINT macro checks one
 //     relaxed atomic and only enters the registry when at least one site is
-//     armed.  Production builds can additionally compile all sites out with
-//     -DFIVM_FAILPOINTS=OFF (CMake option), which defines FIVM_FAILPOINTS_OFF.
+//     armed.
 //   * Determinism: each site draws from its own splitmix64 stream seeded from
 //     hash(site) ^ seed, so a given (site, seed) pair always produces the same
 //     fire/no-fire sequence regardless of which other sites are armed.  Under
@@ -131,17 +130,11 @@ bool FailPointsArmed();
 
 }  // namespace fivm::util
 
-#if defined(FIVM_FAILPOINTS_OFF)
-#define FIVM_FAIL_POINT(site) \
-  do {                        \
-  } while (0)
-#else
 #define FIVM_FAIL_POINT(site)                                      \
   do {                                                             \
     if (::fivm::util::FailPointsArmed()) [[unlikely]] {            \
       ::fivm::util::FailPointRegistry::Default().MaybeFail(site);  \
     }                                                              \
   } while (0)
-#endif
 
 #endif  // FIVM_UTIL_FAIL_POINT_H_

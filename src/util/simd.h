@@ -24,9 +24,9 @@ namespace fivm::simd {
 /// fuzzes directly.
 ///
 /// Dispatch order of authority:
-///  1. Build: on non-x86-64 targets, or with -DFIVM_AVX2=OFF (which defines
-///     FIVM_SIMD_NO_AVX2), the AVX2 arm is not compiled and every call
-///     inlines the scalar loop.
+///  1. Build: on non-x86-64 targets, or with a compiler that lacks -mavx2
+///     (CMake then defines FIVM_SIMD_NO_AVX2), the AVX2 arm is not compiled
+///     and every call inlines the scalar loop.
 ///  2. CPU: the AVX2 arm is used only when __builtin_cpu_supports("avx2").
 ///  3. Environment: FIVM_DISABLE_AVX2=1 pins the scalar path at startup
 ///     (the README's "force the scalar path" knob; the CI scalar-dispatch

@@ -310,7 +310,6 @@ TEST(ExecParallelTest, PropagationJoinKeyAndPrewarmCoverTrianglePath) {
   }
 }
 
-#if !defined(FIVM_FAILPOINTS_OFF)
 TEST(ExecParallelTest, ShardTaskExceptionLeavesStoresUntouched) {
   // Exception propagation mid-batch: one worker task of a parallel
   // ApplyBatch throws (injected at the "exec.task" boundary). ThreadPool
@@ -380,7 +379,6 @@ TEST(ExecParallelTest, ShardTaskExceptionLeavesStoresUntouched) {
   reference.ApplyDelta(0, batch);
   EXPECT_TRUE(StoresContentEqual(reference, engine));
 }
-#endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace
 }  // namespace fivm::exec

@@ -13,8 +13,6 @@
 namespace fivm::util {
 namespace {
 
-#if !defined(FIVM_FAILPOINTS_OFF)
-
 /// Evaluates `site` n times, recording which evaluations fired.
 std::vector<int> FireProfile(const char* site, int n) {
   std::vector<int> fired;
@@ -156,6 +154,17 @@ TEST_F(FailPointTest, ArmedKillFiresWithoutThrowing) {
   EXPECT_EQ(fp.Stats("test.kill2").fires, 0u);
 }
 
+TEST_F(FailPointTest, WildcardDoesNotInheritStaleKillAction) {
+  // A site once armed to kill and then disarmed keeps its registry entry;
+  // a later wildcard arming materializes that entry and must reset it to
+  // the wildcard's throw action, not _exit() the process.
+  auto& fp = FailPointRegistry::Default();
+  fp.Arm("test.stale", 1.0, /*seed=*/5, /*max_fires=*/0, FailAction::kKill);
+  fp.DisarmAll();
+  fp.ArmAll(1.0, /*seed=*/5);
+  EXPECT_THROW(FIVM_FAIL_POINT("test.stale"), InjectedFault);
+}
+
 TEST_F(FailPointTest, TotalFiresAccumulatesAcrossSites) {
   auto& fp = FailPointRegistry::Default();
   const uint64_t fires0 = fp.TotalFires();
@@ -165,19 +174,6 @@ TEST_F(FailPointTest, TotalFiresAccumulatesAcrossSites) {
   FireProfile("test.t2", 10);
   EXPECT_EQ(fp.TotalFires() - fires0, 5u);
 }
-
-#endif  // !FIVM_FAILPOINTS_OFF
-
-#if defined(FIVM_FAILPOINTS_OFF)
-TEST(FailPointTest, CompiledOutSitesAreNoops) {
-  // With FIVM_FAILPOINTS=OFF the macro expands to nothing even when the
-  // registry is armed programmatically.
-  FailPointRegistry::Default().Arm("test.stub", 1.0, 1);
-  FIVM_FAIL_POINT("test.stub");
-  EXPECT_EQ(FailPointRegistry::Default().Stats("test.stub").evaluations, 0u);
-  FailPointRegistry::Default().DisarmAll();
-}
-#endif
 
 }  // namespace
 }  // namespace fivm::util

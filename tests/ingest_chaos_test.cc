@@ -35,8 +35,6 @@
 namespace fivm::ingest {
 namespace {
 
-#if !defined(FIVM_FAILPOINTS_OFF)
-
 using Rel = Relation<I64Ring>;
 
 int64_t EnvInt(const char* name, int64_t fallback) {
@@ -202,10 +200,6 @@ TEST(IngestChaosTest, SeededFaultSweepPreservesConsistency) {
               static_cast<unsigned long long>(total_fires), seeds);
   EXPECT_GE(total_fires, min_fires);
 }
-
-#else
-TEST(IngestChaosTest, SkippedWithoutFailpoints) { GTEST_SKIP(); }
-#endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace
 }  // namespace fivm::ingest

@@ -308,7 +308,6 @@ TEST(IngestServiceTest, WorksWithoutSnapshotServer) {
   EXPECT_TRUE(ContentEquals(p.engine->result(), p.ReferenceResult(updates)));
 }
 
-#if !defined(FIVM_FAILPOINTS_OFF)
 TEST(IngestServiceTest, SupervisorRetriesInjectedFaultsToCompletion) {
   // Every supervised boundary fails a few times; the service must retry
   // through all of them and land exactly the reference state.
@@ -381,7 +380,6 @@ TEST(IngestServiceTest, PublishFailurePastBudgetDelaysVisibilityOnly) {
   EXPECT_TRUE(ContentEquals(snap.Materialize(), p.engine->result()));
 }
 
-#if FIVM_METRICS_ENABLED
 /// The exported value of `name`, whichever kind of metric carries it.
 std::optional<uint64_t> Exported(const obs::MetricsSnapshot& snap,
                                  const std::string& name) {
@@ -449,8 +447,6 @@ TEST(IngestServiceTest, ExportedCountersEqualTheirOwners) {
   }
   EXPECT_GT(p.server->MergeCount(), 0u);
 }
-#endif  // FIVM_METRICS_ENABLED
-#endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace
 }  // namespace fivm::ingest

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/core/query.h"
 #include "src/core/variable_order.h"
 #include "src/core/view_tree.h"
 #include "src/data/relation_ops.h"
+#include "src/obs/metrics.h"
 #include "src/rings/ring.h"
 #include "src/util/rng.h"
 
@@ -224,6 +229,99 @@ TEST(IvmEngineTest, FactorizedDeltaMatchesListingDelta) {
       ASSERT_NE(found, nullptr);
       EXPECT_EQ(*found, p);
     });
+  }
+}
+
+struct StepProfile {
+  unsigned long long calls = 0, in = 0, out = 0;
+};
+
+/// The per-step profiles of an ExplainAnalyze dump, in plan order. Every
+/// numbered step line must carry the annotation in exactly the format the
+/// perfbench trace reader scans; a step without one fails the test.
+std::vector<StepProfile> ParseStepProfiles(const std::string& text) {
+  std::vector<StepProfile> steps;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    // Step lines are "  <n>. <step>"; plan headers are not numbered.
+    if (line.size() < 3 || !std::isdigit(static_cast<unsigned char>(line[2])))
+      continue;
+    const size_t ann = line.find("[calls=");
+    StepProfile p;
+    double ms = 0;
+    unsigned long long allocs = 0;
+    if (ann == std::string::npos ||
+        std::sscanf(line.c_str() + ann,
+                    "[calls=%llu in=%llu out=%llu time=%lfms allocs=%llu]",
+                    &p.calls, &p.in, &p.out, &ms, &allocs) != 5) {
+      ADD_FAILURE() << "step without a profile annotation: " << line;
+      continue;
+    }
+    steps.push_back(p);
+  }
+  return steps;
+}
+
+// EXPLAIN ANALYZE profiles every step a propagation reaches, and the one
+// instrumentation switch, obs::SetEnabled(false), freezes those profiles
+// and the engine.* registry counters without changing what is maintained.
+TEST(IvmEngineTest, ExplainAnalyzeProfilesStepsAndRuntimeSwitchFreezesThem) {
+  PaperFixture f;
+  ViewTree tree(&f.query, &f.vo);
+  tree.MaterializeAll();
+  IvmEngine<I64Ring> engine(&tree, LiftingMap<I64Ring>{});
+  IvmEngine<I64Ring> twin(&tree, LiftingMap<I64Ring>{});
+  engine.Initialize(f.Figure2cDatabase());
+  twin.Initialize(f.Figure2cDatabase());
+
+  // One insert per relation, each joining the Figure 2c data (a1, c1), so
+  // no propagation dies out early and every step of every route runs.
+  auto apply_round = [&f](IvmEngine<I64Ring>& e, int64_t k) {
+    Relation<I64Ring> dr(Schema{f.A, f.B});
+    dr.Add(Tuple::Ints({1, 10 + k}), 1);
+    e.ApplyDelta(f.r, dr);
+    Relation<I64Ring> ds(Schema{f.A, f.C, f.E});
+    ds.Add(Tuple::Ints({1, 1, 10 + k}), 1);
+    e.ApplyDelta(f.s, ds);
+    Relation<I64Ring> dt(Schema{f.C, f.D});
+    dt.Add(Tuple::Ints({1, 10 + k}), 1);
+    e.ApplyDelta(f.t, dt);
+  };
+  constexpr int kRounds = 4;
+  for (int k = 0; k < kRounds; ++k) {
+    apply_round(engine, k);
+    apply_round(twin, k);
+  }
+
+  const std::vector<StepProfile> on = ParseStepProfiles(engine.ExplainAnalyze());
+  ASSERT_FALSE(on.empty());
+  for (size_t i = 0; i < on.size(); ++i) {
+    EXPECT_EQ(on[i].calls, static_cast<unsigned long long>(kRounds))
+        << "step " << i;
+    EXPECT_GT(on[i].in, 0u) << "step " << i;
+  }
+
+  obs::Counter* applied =
+      obs::MetricRegistry::Default().GetCounter("engine.applied_deltas");
+  const uint64_t applied_before = applied->Value();
+  obs::SetEnabled(false);
+  for (int k = kRounds; k < 2 * kRounds; ++k) apply_round(engine, k);
+  obs::SetEnabled(true);
+  const std::vector<StepProfile> off =
+      ParseStepProfiles(engine.ExplainAnalyze());
+  ASSERT_EQ(off.size(), on.size());
+  for (size_t i = 0; i < on.size(); ++i) {
+    EXPECT_EQ(off[i].calls, on[i].calls) << "step " << i;
+    EXPECT_EQ(off[i].in, on[i].in) << "step " << i;
+    EXPECT_EQ(off[i].out, on[i].out) << "step " << i;
+  }
+  EXPECT_EQ(applied->Value(), applied_before);
+
+  for (int k = kRounds; k < 2 * kRounds; ++k) apply_round(twin, k);
+  for (int node = 0; node < static_cast<int>(tree.nodes().size()); ++node) {
+    EXPECT_TRUE(ContentEquals(engine.store(node), twin.store(node)))
+        << tree.node(node).name;
   }
 }
 

@@ -2,9 +2,8 @@
 // geometry and percentile accuracy against a sorted-sample reference,
 // thread-sharded concurrent recording (this file runs under the CI TSan
 // job), registry semantics (pointer stability, gauge tokens), the runtime
-// enable switch, and both exporters. Everything behind FIVM_METRICS_ENABLED
-// is additionally compiled in the metrics-off CI job, where only the stub
-// behavior is asserted.
+// enable switch — the subsystem's only off state; its engine-level effect
+// on ExplainAnalyze is covered in ivm_engine_test.cc — and both exporters.
 
 #include <algorithm>
 #include <atomic>
@@ -21,8 +20,6 @@
 
 namespace fivm::obs {
 namespace {
-
-#if FIVM_METRICS_ENABLED
 
 uint64_t NextRand(uint64_t* s) {
   *s ^= *s << 13;
@@ -323,30 +320,6 @@ TEST(ExportTest, PrometheusSanitizesAndEmitsQuantiles) {
   EXPECT_NE(text.find("exec_merge_ns_count 2"), std::string::npos) << text;
   EXPECT_EQ(text.find("applied-deltas"), std::string::npos) << text;
 }
-
-#else  // !FIVM_METRICS_ENABLED — compiled-out stubs must still behave.
-
-TEST(MetricsOff, StubsAreInertAndExportersEmpty) {
-  EXPECT_FALSE(Enabled());
-  Counter c;
-  c.Add(5);
-  EXPECT_EQ(c.Value(), 0u);
-  Histogram h;
-  h.Record(5);
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_EQ(h.Snap().count, 0u);
-  { ScopedTimer t(&h); }
-  EXPECT_EQ(h.Count(), 0u);
-
-  auto& reg = MetricRegistry::Default();
-  reg.GetCounter("anything")->Add(1);
-  const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_TRUE(snap.empty());
-  EXPECT_NE(ToJson(snap).find("\"counters\":{}"), std::string::npos);
-  EXPECT_EQ(ToPrometheus(snap), "");
-}
-
-#endif  // FIVM_METRICS_ENABLED
 
 }  // namespace
 }  // namespace fivm::obs

@@ -51,8 +51,6 @@
 #include "src/util/fail_point.h"
 #include "src/util/rng.h"
 
-#if !defined(FIVM_FAILPOINTS_OFF)
-
 namespace fivm::durability {
 namespace {
 
@@ -369,5 +367,3 @@ TEST(RecoveryChaosTest, KillSweepAllSitesZeroDivergence) {
 
 }  // namespace
 }  // namespace fivm::durability
-
-#endif  // !FIVM_FAILPOINTS_OFF

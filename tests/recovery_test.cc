@@ -335,7 +335,6 @@ TEST(RecoveryTest, PartialTmpImageIgnored) {
   EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *rig.engine));
 }
 
-#if !defined(FIVM_FAILPOINTS_OFF)
 TEST(RecoveryTest, DiskFullShedsWindowsGracefully) {
   TempDir td;
   constexpr uint64_t kSeed = 60006;
@@ -393,7 +392,6 @@ TEST(RecoveryTest, DiskFullShedsWindowsGracefully) {
   }
   EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *reference.engine));
 }
-#endif  // !FIVM_FAILPOINTS_OFF
 
 TEST(RecoveryTest, StrictModeUpdatesDurableAtAdmission) {
   TempDir td;

@@ -592,7 +592,6 @@ TEST(EpochRegistryTest, TryAcquireSlotReturnsSentinelWhenSaturated) {
   EXPECT_EQ(reg.TryAcquireSlot(), EpochRegistry::kNoSlot);
 }
 
-#if !defined(FIVM_FAILPOINTS_OFF)
 TEST(SnapshotServerTest, FailedPublishLeavesStagingRetryable) {
   // A publish that throws (failpoint at entry) must leave staged segments
   // intact: the retry publishes exactly once, with nothing lost or
@@ -681,8 +680,6 @@ TEST(SnapshotServerTest, AbortedRecyclingMergeKeepsLaterMergesExact) {
   }
   EXPECT_EQ(server.ClonedGenerations(), clones + 1);
 }
-
-#endif  // !FIVM_FAILPOINTS_OFF
 
 }  // namespace
 }  // namespace fivm::serve

@@ -6,9 +6,9 @@
 // dispatch-invariant. Mirrors the SWAR-vs-SSE2 group fuzz in
 // group_table_test.cc one layer up.
 //
-// On hardware without AVX2 (or with -DFIVM_AVX2=OFF) both arms are the
-// scalar loop and the comparisons are trivially true; the tests log a skip
-// for the CI record instead of silently passing.
+// On hardware without AVX2 (or with a compiler lacking -mavx2) both arms
+// are the scalar loop and the comparisons are trivially true; the tests log
+// a skip for the CI record instead of silently passing.
 
 #include <gtest/gtest.h>
 

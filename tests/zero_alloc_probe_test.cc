@@ -138,7 +138,6 @@ TEST(ZeroAllocProbeTest, GroupProbePathIsAllocationFree) {
 // loops. Registry lookups (mutexed, allocating) belong at construction
 // time and are done before counting starts.
 TEST(ZeroAllocProbeTest, MetricRecordPathIsAllocationFree) {
-#if FIVM_METRICS_ENABLED
   auto& reg = obs::MetricRegistry::Default();
   obs::Counter* counter = reg.GetCounter("zero_alloc.counter");
   obs::Histogram* hist = reg.GetHistogram("zero_alloc.hist");
@@ -160,7 +159,6 @@ TEST(ZeroAllocProbeTest, MetricRecordPathIsAllocationFree) {
   int64_t after = util::MemoryTracker::AllocationCount();
   EXPECT_EQ(after - before, 0);
   EXPECT_GE(hist->Count(), 20001u);  // Record + timer per iteration + warmup
-#endif
 }
 
 // The snapshot-serving read path — epoch pin, version load, point lookups
