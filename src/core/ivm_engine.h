@@ -386,8 +386,9 @@ class IvmEngine {
     const Relation<Ring>* left = &owned;
     if (stage_leaf) left = &store_delta(from, std::move(owned));
     int next_buf = 0;
-    // Per-step profile: timer + tuple counts + allocation delta, recorded
-    // into the engine-owned step atomics that ExplainAnalyze reads. One
+    // Per-step profile: timer + tuple counts + this thread's allocation
+    // delta, recorded into the engine-owned step atomics that ExplainAnalyze
+    // reads (a fused multi-way join counts as one step). One
     // Enabled() load decides the whole propagation; a disabled run pays a
     // single well-predicted null check per step.
     engine_obs::LeafObs* lobs =
@@ -402,16 +403,15 @@ class IvmEngine {
       size_t in_n = 0;
       if (lobs != nullptr) {
         t0 = obs::TickClock::Now();
-        a0 = util::MemoryTracker::AllocationCount();
+        a0 = util::MemoryTracker::ThreadAllocationCount();
         in_n = left->size();
       }
       switch (s.kind) {
         case plan::PropagationStep::Kind::kJoin: {
           Relation<Ring>& out = scratch->buf[next_buf];
           next_buf = 1 - next_buf;
-          out.Reset(s.join.out_schema);
-          JoinAndMarginalizeInto(out, *left, stores_[s.sibling], s.join,
-                                 lifts_);
+          out.Reset(s.last_join().out_schema);
+          JoinStep(out, *left, s);
           left = &out;
           break;
         }
@@ -452,8 +452,8 @@ class IvmEngine {
             obs::TickClock::ToNanos(obs::TickClock::Now() - t0),
             std::memory_order_relaxed);
         so.allocs.fetch_add(
-            static_cast<uint64_t>(util::MemoryTracker::AllocationCount() -
-                                  a0),
+            static_cast<uint64_t>(
+                util::MemoryTracker::ThreadAllocationCount() - a0),
             std::memory_order_relaxed);
       }
       ++step_i;
@@ -497,8 +497,10 @@ class IvmEngine {
 
   /// EXPLAIN ANALYZE: every compiled propagation route, annotated per step
   /// with the observed execution profile — calls, input/output tuples,
-  /// cumulative wall time and heap allocations (allocations require the
-  /// memhook-linked binaries; elsewhere they read 0). Steps a propagation
+  /// cumulative wall time and the propagating threads' own heap
+  /// allocations (allocations require the memhook-linked binaries;
+  /// elsewhere they read 0). A fused multi-way join is one step: its
+  /// tuple counts are delta entries in, joined keys out. Steps a propagation
   /// never reached show calls=0; steps run while obs::SetEnabled(false)
   /// was in force are not counted.
   std::string ExplainAnalyze() const {
@@ -667,6 +669,43 @@ class IvmEngine {
     AbsorbStoreDelta(node, std::move(acc));
   }
 
+  /// Executes a compiled kJoin step: full-key steps (one link or a fused
+  /// run of them) through the multi-way executor, any other join kind as a
+  /// binary join.
+  void JoinStep(Relation<Ring>& out, const Relation<Ring>& left,
+                const plan::PropagationStep& s) const {
+    const JoinMargSpec& last = s.last_join();
+    if (last.kind != JoinKind::kFullKeyPrimary) {
+      JoinAndMarginalizeInto(out, left, stores_[s.links[0].sibling], last,
+                             lifts_);
+      return;
+    }
+    util::SmallVector<FullKeyProbe<Ring>, 8> probes;
+    for (const plan::JoinLink& l : s.links) {
+      probes.push_back({&stores_[l.sibling], &l.join.right_key_pos});
+    }
+    FullKeyJoinAndMarginalizeInto(out, left, probes.data(), probes.size(),
+                                  last, lifts_);
+  }
+
+  /// True when EvalOut can evaluate node `n` as one multi-way full-key join
+  /// over its children's stores: two or more children, each materialized
+  /// with its store equal to its out value, and every child after the
+  /// first keyed on the first child's variables.
+  bool ChildrenJoinOnFirstKey(const ViewTree::Node& n) const {
+    if (n.children.size() < 2) return false;
+    const Schema& first = tree_->node(n.children[0]).out_schema;
+    for (size_t ci = 0; ci < n.children.size(); ++ci) {
+      const ViewTree::Node& c = tree_->node(n.children[ci]);
+      if (!c.materialized || c.store_schema != c.out_schema) return false;
+      if (ci > 0 && ClassifyJoin(first, c.out_schema).kind !=
+                        JoinKind::kFullKeyPrimary) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   // Computes the node's *store* value (pre-out-marginalization) and fills
   // the store if materialized; returns the *out* value for the parent.
   Relation<Ring> EvalOut(int idx, const Database<Ring>& db) {
@@ -700,22 +739,47 @@ class IvmEngine {
     }
 
     Relation<Ring> acc;
-    bool have = false;
     Schema store_marg = n.marg_vars.Minus(n.retained_vars);
-    for (size_t ci = 0; ci < n.children.size(); ++ci) {
-      Relation<Ring> child = EvalOut(n.children[ci], db);
-      if (!have) {
-        acc = std::move(child);
-        have = true;
-      } else if (ci + 1 == n.children.size() && !store_marg.empty()) {
-        // Fuse the final join with the store-level marginalization.
-        acc = JoinAndMarginalize(acc, child, store_marg, lifts_);
-        store_marg = Schema{};
-      } else {
-        acc = Join(acc, child);
+    if (ChildrenJoinOnFirstKey(n)) {
+      // The node's product over its children as one multi-way full-key join
+      // — the executor compiled propagation runs — probing the children's
+      // stores. Each child's store holds exactly its out value (no retained
+      // variables), so the copies EvalOut returns are dropped on the spot
+      // rather than held next to the stores.
+      for (int c : n.children) EvalOut(c, db);
+      const Relation<Ring>& first = stores_[n.children[0]];
+      util::SmallVector<util::SmallVector<uint32_t, 6>, 8> key_pos;
+      key_pos.reserve(n.children.size());  // probes point into it
+      util::SmallVector<FullKeyProbe<Ring>, 8> probes;
+      for (size_t ci = 1; ci < n.children.size(); ++ci) {
+        const Relation<Ring>& child = stores_[n.children[ci]];
+        key_pos.push_back(first.schema().PositionsOf(child.schema()));
+        probes.push_back({&child, &key_pos.back()});
       }
+      const JoinMargSpec spec = JoinMargSpec::Compile(
+          first.schema(), probes.back().rel->schema(), store_marg,
+          TrivialityOf(lifts_));
+      acc = Relation<Ring>(spec.out_schema);
+      FullKeyJoinAndMarginalizeInto(acc, first, probes.data(), probes.size(),
+                                    spec, lifts_);
+      store_marg = Schema{};
+    } else {
+      bool have = false;
+      for (size_t ci = 0; ci < n.children.size(); ++ci) {
+        Relation<Ring> child = EvalOut(n.children[ci], db);
+        if (!have) {
+          acc = std::move(child);
+          have = true;
+        } else if (ci + 1 == n.children.size() && !store_marg.empty()) {
+          // Fuse the final join with the store-level marginalization.
+          acc = JoinAndMarginalize(acc, child, store_marg, lifts_);
+          store_marg = Schema{};
+        } else {
+          acc = Join(acc, child);
+        }
+      }
+      if (!have) acc = Relation<Ring>(n.out_schema);
     }
-    if (!have) acc = Relation<Ring>(n.out_schema);
     if (!store_marg.empty()) acc = Marginalize(acc, store_marg, lifts_);
     if (n.materialized) {
       stores_[idx].Clear();

@@ -112,42 +112,120 @@ Relation<Ring> Marginalize(const Relation<Ring>& rel, const Schema& marg,
                      lifts);
 }
 
-/// The shared inner loop of the full-key join paths: visits `left`'s live
-/// entries in slot order and calls `on_hit(left_key, left_payload,
-/// right_payload)` for each one whose full key matches in `right`'s primary
-/// index. Probes are software-pipelined in batches of 8 — hash + prefetch
-/// first, probe after — so independent probes' index-line latency overlaps
-/// instead of serializing per probe (the hit path is a dependent
-/// ctrl→cell→key chain); the probe view is re-materialized with its
-/// precomputed hash. The live-entry scan streams the payload pool for the
-/// zero test and touches the key pool only for live slots (SoA split).
-template <typename Ring, typename Positions, typename OnHit>
+/// One right side of a full-key join: `rel` probed through its primary
+/// index with the values at `key_pos` of each left key (the positions of
+/// rel's whole schema within the left schema). Both pointers are borrowed.
+template <typename Ring>
+struct FullKeyProbe {
+  const Relation<Ring>* rel = nullptr;
+  const util::SmallVector<uint32_t, 6>* key_pos = nullptr;
+};
+
+/// The one inner loop of every full-key join path, binary (k = 1) or
+/// multi-way: visits `left`'s live entries in slot order and calls
+/// `on_hit(left_key, left_payload, right_payloads)` for each one whose key
+/// matches in all `k` right sides; `right_payloads[r]` is its partner in
+/// `rights[r]`. An entry is dropped at its first miss. Probes are
+/// software-pipelined in batches of 8 left entries — all k probes of the
+/// batch are hashed and prefetched first, probed after — so independent
+/// probes' index-line latency overlaps instead of serializing per probe
+/// (the hit path is a dependent ctrl→cell→key chain); each probe view is
+/// re-materialized with its precomputed hash. A right side keyed on the
+/// same positions as the one before it reuses that hash (the siblings of a
+/// star node all key on the node's variables). The live-entry scan streams
+/// the payload pool for the zero test and touches the key pool only for
+/// live slots (SoA split).
+template <typename Ring, typename OnHit>
 void ForEachFullKeyMatch(const Relation<Ring>& left,
-                         const Relation<Ring>& right,
-                         const Positions& right_key_pos, OnHit&& on_hit) {
-  const uint32_t n_slots = static_cast<uint32_t>(left.SlotCount());
+                         const FullKeyProbe<Ring>* rights, size_t k,
+                         OnHit&& on_hit) {
+  using Element = typename Ring::Element;
+  assert(k >= 1);
   constexpr uint32_t kPipe = 8;
+  const uint32_t n_slots = static_cast<uint32_t>(left.SlotCount());
+  // Per-call buffers sized by k: inline up to 8 right sides, heap beyond.
+  util::SmallVector<uint8_t, 8> same_key(k);
+  for (size_t r = 1; r < k; ++r) {
+    const auto& a = *rights[r - 1].key_pos;
+    const auto& b = *rights[r].key_pos;
+    same_key[r] = a.size() == b.size() &&
+                  std::equal(a.begin(), a.end(), b.begin());
+  }
+  util::SmallVector<uint64_t, 8 * kPipe> hash;  // [batch entry][right side]
+  hash.resize_uninitialized(kPipe * k);
+  util::SmallVector<const Element*, 8> hit;
+  hit.resize_uninitialized(k);
   uint32_t batch[kPipe];
-  uint64_t batch_hash[kPipe];
   uint32_t bn = 0;
   auto flush = [&] {
     for (uint32_t j = 0; j < bn; ++j) {
       const Tuple& lk = left.KeyAt(batch[j]);
-      const typename Ring::Element* rp =
-          right.Find(TupleView(lk, right_key_pos, batch_hash[j]));
-      if (rp != nullptr) on_hit(lk, left.PayloadAt(batch[j]), *rp);
+      const uint64_t* h = hash.data() + size_t{j} * k;
+      size_t r = 0;
+      for (; r < k; ++r) {
+        hit[r] = rights[r].rel->Find(TupleView(lk, *rights[r].key_pos, h[r]));
+        if (hit[r] == nullptr) break;
+      }
+      if (r == k) on_hit(lk, left.PayloadAt(batch[j]), hit.data());
     }
     bn = 0;
   };
   for (uint32_t i = 0; i < n_slots; ++i) {
     if (Ring::IsZero(left.PayloadAt(i))) continue;
-    uint64_t h = TupleView(left.KeyAt(i), right_key_pos).Hash();
-    right.PrefetchFind(h);
+    const Tuple& lk = left.KeyAt(i);
+    uint64_t* h = hash.data() + size_t{bn} * k;
+    for (size_t r = 0; r < k; ++r) {
+      h[r] = same_key[r] ? h[r - 1]
+                         : TupleView(lk, *rights[r].key_pos).Hash();
+      rights[r].rel->PrefetchFind(h[r]);
+    }
     batch[bn] = i;
-    batch_hash[bn] = h;
     if (++bn == kPipe) flush();
   }
   flush();
+}
+
+/// The multi-way full-key join ⊕_{spec.marg}(left ⊗ rights[0] ⊗ … ⊗
+/// rights[k-1]), appending into `out`: the paper's per-node product
+/// δV_i ⊗ ⊗_{j≠i} V_j, run as one pass with no intermediate relation. Every
+/// right side is keyed on left variables (a full-key probe), so a left entry
+/// has at most one partner per side and every output and lifted variable
+/// lives on the left. `spec` is the JoinMargSpec of the last right side
+/// against `left` — the only one carrying the ⊕ and its lifts. Each match's
+/// term is chained through two reused scratch elements in the binary
+/// chain's order, left payload first, then rights[0..k-1], then the lifts,
+/// so the result is bit-identical to the chain and non-commutative rings
+/// (the relational ring concatenates payload schemas) keep their order.
+template <typename Ring>
+void FullKeyJoinAndMarginalizeInto(Relation<Ring>& out,
+                                   const Relation<Ring>& left,
+                                   const FullKeyProbe<Ring>* rights, size_t k,
+                                   const JoinMargSpec& spec,
+                                   const LiftingMap<Ring>& lifts) {
+  using Element = typename Ring::Element;
+  assert(spec.kind == JoinKind::kFullKeyPrimary);
+  assert(left.schema() == spec.left_schema);
+  assert(rights[k - 1].rel->schema() == spec.right_schema);
+  assert(out.schema() == spec.out_schema);
+  out.Reserve(left.size());
+  Element acc, tmp;
+  Tuple scratch;  // Add copies it only when the key is new to `out`
+  ForEachFullKeyMatch(
+      left, rights, k,
+      [&](const Tuple& lk, const Element& lp, const Element* const* rp) {
+        RingMulInto<Ring>(acc, lp, *rp[0]);
+        for (size_t r = 1; r < k; ++r) {
+          RingMulInto<Ring>(tmp, acc, *rp[r]);
+          std::swap(acc, tmp);
+        }
+        for (const auto& [var, src] : spec.lifted) {
+          RingMulInto<Ring>(tmp, acc, lifts.Lift(var, lk[src.pos]));
+          std::swap(acc, tmp);
+        }
+        scratch.Clear();
+        for (const auto& src : spec.out_src) scratch.Append(lk[src.pos]);
+        out.Add(scratch, acc);
+      });
 }
 
 /// ⊗ with a precompiled spec, appending into `out`.
@@ -185,12 +263,15 @@ void JoinInto(Relation<Ring>& out, const Relation<Ring>& left,
       // by later absorbs into `right`), and the output schema equals
       // left's, so keys pass through unchanged.
       out.Reserve(left.size());
-      ForEachFullKeyMatch(
-          left, right, spec.right_key_pos,
-          [&](const Tuple& lk, const Element& lp, const Element& rp) {
-            RingMulInto<Ring>(mul_scratch, lp, rp);
-            out.Add(lk, mul_scratch);
-          });
+      {
+        const FullKeyProbe<Ring> probe{&right, &spec.right_key_pos};
+        ForEachFullKeyMatch(
+            left, &probe, 1,
+            [&](const Tuple& lk, const Element& lp, const Element* const* rp) {
+              RingMulInto<Ring>(mul_scratch, lp, *rp[0]);
+              out.Add(lk, mul_scratch);
+            });
+      }
       return;
     case JoinKind::kSecondaryProbe: {
       const auto& right_index = right.IndexOn(spec.common);
@@ -273,25 +354,15 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
             [&](const Tuple& rk, const Element& rp) { emit(lk, lp, rk, rp); });
       });
       return;
-    case JoinKind::kFullKeyPrimary:
+    case JoinKind::kFullKeyPrimary: {
       // Full-key probe: the join key covers the whole right schema, so each
       // left entry has at most one partner, located through right's primary
-      // index (pipelined — see ForEachFullKeyMatch) — no secondary index to
-      // build here or to maintain on every later absorb into `right`.
-      // Every output and lifted variable then lives on the left
-      // (out_src/lifted prefer the left position), so the right key is
-      // never dereferenced and the left key stands in for it.
-      out.Reserve(left.size());
-      ForEachFullKeyMatch(
-          left, right, spec.right_key_pos,
-          [&](const Tuple& lk, const Element& lp, const Element& rp) {
-            scratch.Clear();
-            for (const auto& src : spec.out_src) {
-              scratch.Append(lk[src.pos]);
-            }
-            out.Add(scratch, term(lk, lp, lk, rp));
-          });
+      // index — no secondary index to build here or to maintain on every
+      // later absorb into `right`. The binary case of the multi-way loop.
+      const FullKeyProbe<Ring> probe{&right, &spec.right_key_pos};
+      FullKeyJoinAndMarginalizeInto(out, left, &probe, 1, spec, lifts);
       return;
+    }
     case JoinKind::kSecondaryProbe: {
       const auto& right_index = right.IndexOn(spec.common);
       if (spec.left_only_key) {

@@ -191,8 +191,8 @@ class ParallelExecutor {
     // the shared stores when an exception escapes here.
     pool_->RunTasks(std::move(tasks));
 
-    // Deterministic shard-ordered merge into the shared stores (large
-    // staged deltas are absorbed in key-hash order, see AbsorbStoreDelta).
+    // Deterministic shard-ordered merge into the shared stores; each staged
+    // delta is absorbed in arrival order (see AbsorbInto).
     const uint64_t merge_t0 = obs::TickClock::Now();
     for (size_t s = 0; s < shards; ++s) {
       for (auto& [node, d] : staged[s]) {

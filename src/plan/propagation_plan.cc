@@ -29,6 +29,21 @@ const char* JoinKindName(JoinKind k) {
   return "?";
 }
 
+/// True when a sibling join compiled as `join` at node `node` can be
+/// folded into the last step of `steps` as one more link of a multi-way
+/// full-key join: that step is a join at the same node whose links are all
+/// full-key probes, and its last link neither marginalizes nor adds columns
+/// (so its output is its left side and `join`'s probe positions index the
+/// step's left key).
+bool ExtendsFusedJoin(const std::vector<PropagationStep>& steps, int node,
+                      const JoinMargSpec& join) {
+  if (steps.empty() || join.kind != JoinKind::kFullKeyPrimary) return false;
+  const PropagationStep& last = steps.back();
+  return last.kind == PropagationStep::Kind::kJoin && last.node == node &&
+         last.last_join().kind == JoinKind::kFullKeyPrimary &&
+         last.last_join().out_schema == last.last_join().left_schema;
+}
+
 }  // namespace
 
 PropagationPlan PropagationPlan::Compile(const ViewTree& tree, int leaf,
@@ -41,7 +56,9 @@ PropagationPlan PropagationPlan::Compile(const ViewTree& tree, int leaf,
   // per delta: per path node, fold each sibling store into the running
   // delta, fusing the store-level marginalization into the last sibling
   // join, then marginalize leftovers, stage the store delta, and marginalize
-  // the retained variables before handing the delta to the parent.
+  // the retained variables before handing the delta to the parent. A run of
+  // full-key sibling probes at one node compiles to a single multi-way join
+  // step (ExtendsFusedJoin) instead of a chain of materialized binary joins.
   Schema cur = p.leaf_schema_;
   int prev = leaf;
   int idx = tree.node(leaf).parent;
@@ -61,19 +78,23 @@ PropagationPlan PropagationPlan::Compile(const ViewTree& tree, int leaf,
         marg = marg.Union(store_marg);
         store_marg = Schema{};
       }
+      JoinLink link{c, JoinMargSpec::Compile(cur, sib, marg, is_trivial)};
+      if (link.join.kind == JoinKind::kSecondaryProbe) {
+        p.secondary_probes_.push_back(SecondaryProbe{c, link.join.common});
+      }
+      if (p.partition_key_.empty()) {
+        Schema usable = link.join.common.Intersect(p.leaf_schema_);
+        if (!usable.empty()) p.partition_key_ = std::move(usable);
+      }
+      cur = link.join.out_schema;
+      if (ExtendsFusedJoin(p.steps_, idx, link.join)) {
+        p.steps_.back().links.push_back(std::move(link));
+        continue;
+      }
       PropagationStep step;
       step.kind = PropagationStep::Kind::kJoin;
       step.node = idx;
-      step.sibling = c;
-      step.join = JoinMargSpec::Compile(cur, sib, marg, is_trivial);
-      if (step.join.kind == JoinKind::kSecondaryProbe) {
-        p.secondary_probes_.push_back(SecondaryProbe{c, step.join.common});
-      }
-      if (p.partition_key_.empty()) {
-        Schema usable = step.join.common.Intersect(p.leaf_schema_);
-        if (!usable.empty()) p.partition_key_ = std::move(usable);
-      }
-      cur = step.join.out_schema;
+      step.links.push_back(std::move(link));
       p.steps_.push_back(std::move(step));
     }
     if (!store_marg.empty()) {
@@ -126,20 +147,26 @@ std::string PropagationPlan::DebugString(
   for (const PropagationStep& s : steps_) {
     out += "  " + std::to_string(++i) + ". ";
     switch (s.kind) {
-      case PropagationStep::Kind::kJoin:
-        out += "join ⊗ " + tree.node(s.sibling).name +
-               SchemaNames(catalog, s.join.right_schema) + " [" +
-               JoinKindName(s.join.kind);
-        if (s.join.kind == JoinKind::kSecondaryProbe) {
-          out += " on " + SchemaNames(catalog, s.join.common);
+      case PropagationStep::Kind::kJoin: {
+        // A fused multi-way join prints as one line listing every sibling.
+        out += "join";
+        for (const JoinLink& l : s.links) {
+          out += " ⊗ " + tree.node(l.sibling).name +
+                 SchemaNames(catalog, l.join.right_schema);
+        }
+        const JoinMargSpec& j = s.last_join();
+        out += std::string(" [") + JoinKindName(j.kind);
+        if (j.kind == JoinKind::kSecondaryProbe) {
+          out += " on " + SchemaNames(catalog, j.common);
         }
         out += "]";
-        if (!s.join.marg.empty()) {
-          out += " fused ⊕" + SchemaNames(catalog, s.join.marg);
+        if (!j.marg.empty()) out += " fused ⊕" + SchemaNames(catalog, j.marg);
+        if (j.kind == JoinKind::kSecondaryProbe && j.left_only_key) {
+          out += " (left-key ring fold)";
         }
-        if (s.join.left_only_key) out += " (left-key ring fold)";
-        out += " -> " + SchemaNames(catalog, s.join.out_schema);
+        out += " -> " + SchemaNames(catalog, j.out_schema);
         break;
+      }
       case PropagationStep::Kind::kMarginalize:
         out += "⊕" + SchemaNames(catalog, s.marg.in_schema.Minus(
                                               s.marg.out_schema)) +

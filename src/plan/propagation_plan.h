@@ -14,12 +14,26 @@
 
 namespace fivm::plan {
 
+/// One sibling join of a kJoin step: the materialized store of view
+/// `sibling` is the right side, matched per the precompiled JoinMargSpec
+/// (join kind, probe positions, output assembly, fused store-marginalization
+/// placement are all baked in).
+struct JoinLink {
+  int sibling = -1;
+  JoinMargSpec join;
+};
+
 /// One resolved step of a compiled leaf-to-root propagation route. The step
 /// sequence is executed against a running delta relation (the "left" side):
-///  - kJoin: fused join+marginalize of the delta with the materialized store
-///    of view `sibling`, per the precompiled JoinMargSpec (join kind, probe
-///    positions, output assembly, fused store-marginalization placement are
-///    all baked in);
+///  - kJoin: fused join+marginalize of the delta with the stores of the
+///    step's `links`. One link is a binary join of any kind. Two or more
+///    links are the paper's per-node product δV_i ⊗ ⊗_{j≠i} V_j run as one
+///    multi-way full-key join: every link is kFullKeyPrimary, every link but
+///    the last keeps the step's left schema (out_schema == left_schema, so
+///    each link's right_key_pos indexes the step's left key), and only the
+///    last link carries the fused ⊕ and its lifts. Each delta entry probes
+///    every sibling store and is multiplied through in link order; no
+///    intermediate relation is materialized;
 ///  - kMarginalize: marginalize per the precompiled MargSpec (store-level or
 ///    out-level marginalization that could not be fused into a join);
 ///  - kStoreDelta: the delta, in `node`'s store schema, is a store delta of
@@ -30,10 +44,12 @@ struct PropagationStep {
   Kind kind = Kind::kStoreDelta;
   /// View-tree node this step belongs to (the store target for kStoreDelta).
   int node = -1;
-  /// kJoin: view-tree node whose materialized store is the right side.
-  int sibling = -1;
-  JoinMargSpec join;  // kJoin
-  MargSpec marg;      // kMarginalize
+  /// kJoin: the sibling joins, in the order the chain would run them.
+  std::vector<JoinLink> links;
+  MargSpec marg;  // kMarginalize
+
+  /// kJoin: the spec carrying the step's output schema, ⊕ and lifts.
+  const JoinMargSpec& last_join() const { return links.back().join; }
 };
 
 /// The compiled propagation route of one leaf: F-IVM's per-path delta

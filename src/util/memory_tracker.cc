@@ -10,6 +10,8 @@ std::atomic<int64_t> g_peak{0};
 std::atomic<int64_t> g_alloc_count{0};
 std::atomic<int64_t> g_rehash_count{0};
 std::atomic<bool> g_enabled{false};
+// Plain (not atomic): only its own thread reads or writes it.
+thread_local int64_t t_alloc_count = 0;
 
 }  // namespace
 
@@ -20,6 +22,8 @@ int64_t MemoryTracker::CurrentBytes() {
 int64_t MemoryTracker::AllocationCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
+
+int64_t MemoryTracker::ThreadAllocationCount() { return t_alloc_count; }
 
 int64_t MemoryTracker::PeakBytes() {
   return g_peak.load(std::memory_order_relaxed);
@@ -44,6 +48,7 @@ bool MemoryTracker::enabled() {
 
 void MemoryTracker::RecordAlloc(size_t bytes) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++t_alloc_count;
   int64_t cur = g_current.fetch_add(static_cast<int64_t>(bytes),
                                     std::memory_order_relaxed) +
                 static_cast<int64_t>(bytes);

@@ -20,6 +20,12 @@ class MemoryTracker {
   /// assert that hot probe paths stay allocation-free.
   static int64_t AllocationCount();
 
+  /// Allocations made by the calling thread since it started. Per-step
+  /// profiles difference this instead of AllocationCount(), which also
+  /// counts what other threads (shards, readers, the WAL) allocate in the
+  /// same window.
+  static int64_t ThreadAllocationCount();
+
   /// High-water mark of live bytes since the last ResetPeak().
   static int64_t PeakBytes();
 

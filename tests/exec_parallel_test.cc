@@ -22,10 +22,12 @@
 #include "src/exec/parallel_executor.h"
 #include "src/exec/thread_pool.h"
 #include "src/ml/cofactor.h"
+#include "src/obs/metrics.h"
 #include "src/rings/regression_ring.h"
 #include "src/rings/ring.h"
 #include "src/util/fail_point.h"
 #include "src/util/rng.h"
+#include "src/workloads/housing.h"
 #include "src/workloads/twitter.h"
 
 namespace fivm::exec {
@@ -177,6 +179,45 @@ TEST(ExecParallelTest, TriangleRegressionRingEquivalence) {
       CheckEquivalence(reference, batched, query, stream, batch_size,
                        threads);
     }
+  }
+}
+
+TEST(ExecParallelTest, HousingStarFusedJoinEquivalence) {
+  // The fig7 housing star: every route joins its delta with the five
+  // sibling views in one fused multi-way step. Two shards run that step
+  // concurrently over key-disjoint halves of each batch; integer-valued
+  // keys keep the 27-attribute aggregates exact, so the merged stores must
+  // equal sequential per-tuple application bit for bit.
+  workloads::HousingConfig cfg;
+  cfg.postcodes = 40;
+  auto ds = workloads::HousingDataset::Generate(cfg);
+  Query& query = *ds->query;
+  auto stream = RandomStream(query, 3000, 20, /*seed=*/37);
+
+  // Batches wide enough that each relation's share takes the parallel path
+  // (>= kMinParallelKeys coalesced keys).
+  for (size_t batch_size : {size_t{600}, size_t{3000}}) {
+    ViewTree tree(&query, &ds->vorder);
+    tree.ComputeMaterialization({0, 1, 2, 3, 4, 5});
+    auto slots = tree.AssignAggregateSlots();
+    IvmEngine<RegressionRing> reference(&tree,
+                                        ml::RegressionLiftings(query, slots));
+    IvmEngine<RegressionRing> batched(&tree,
+                                      ml::RegressionLiftings(query, slots));
+    for (const plan::PropagationStep& s :
+         batched.plans().ForRelation(0).steps()) {
+      if (s.kind != plan::PropagationStep::Kind::kJoin) continue;
+      ASSERT_EQ(s.links.size(), 5u) << batched.plans().DebugString();
+    }
+    Database<RegressionRing> empty = MakeDatabase<RegressionRing>(query);
+    reference.Initialize(empty);
+    batched.Initialize(empty);
+    const obs::Counter* parallel =
+        obs::MetricRegistry::Default().GetCounter("exec.parallel_batches");
+    const uint64_t parallel0 = parallel->Value();
+    CheckEquivalence(reference, batched, query, stream, batch_size,
+                     /*threads=*/2);
+    EXPECT_GT(parallel->Value(), parallel0) << "no batch ran sharded";
   }
 }
 

@@ -18,6 +18,12 @@
 // property_sweep_test vs full re-evaluation, relation_ops_test,
 // baselines_test cross-checks).
 //
+// The fused multi-way join (a run of full-key sibling probes at one node
+// compiled into one step) is pinned down by its plan shape on the fig7 star,
+// by the absence of fusion on secondary-probe and single-join routes, by
+// payload order under the non-commutative relational ring, and — through
+// the EvalOut path — by Evaluate against naive re-evaluation.
+//
 // Also the plan-derived prewarming contract: PrewarmPropagationIndexes
 // builds exactly the secondary indexes the compiled joins probe — no more,
 // and none left to be built lazily during (possibly concurrent)
@@ -33,14 +39,17 @@
 #include <utility>
 #include <vector>
 
+#include "src/baselines/reevaluation.h"
 #include "src/core/ivm_engine.h"
 #include "src/core/query.h"
+#include "src/core/variable_order.h"
 #include "src/core/view_tree.h"
 #include "src/data/relation_ops.h"
 #include "src/exec/thread_pool.h"
 #include "src/ml/cofactor.h"
 #include "src/plan/propagation_plan.h"
 #include "src/rings/regression_ring.h"
+#include "src/rings/relational_ring.h"
 #include "src/rings/ring.h"
 #include "src/util/rng.h"
 #include "src/workloads/housing.h"
@@ -337,6 +346,308 @@ TEST(PlanEquivalenceTest, I64CountQueryMatchesSeedInterpreter) {
 
   auto stream = RandomStream(query, 4000, 10, /*seed=*/13);
   CheckCompiledMatchesInterpreter(compiled, reference, query, stream, 400);
+}
+
+/// The kJoin steps of `p`, in route order.
+std::vector<const plan::PropagationStep*> JoinSteps(
+    const plan::PropagationPlan& p) {
+  std::vector<const plan::PropagationStep*> joins;
+  for (const plan::PropagationStep& s : p.steps()) {
+    if (s.kind == plan::PropagationStep::Kind::kJoin) joins.push_back(&s);
+  }
+  return joins;
+}
+
+/// The numbered DebugString lines of `p` that describe join steps.
+std::vector<std::string> JoinLines(const plan::PropagationPlan& p,
+                                   const ViewTree& tree) {
+  std::vector<std::string> lines;
+  std::string dump = p.DebugString(tree);
+  size_t at = 0;
+  while (at < dump.size()) {
+    size_t end = dump.find('\n', at);
+    if (end == std::string::npos) end = dump.size();
+    std::string line = dump.substr(at, end - at);
+    size_t dot = line.find(". ");
+    if (dot != std::string::npos && line.compare(dot + 2, 4, "join") == 0) {
+      lines.push_back(line);
+    }
+    at = end + 1;
+  }
+  return lines;
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(PlanEquivalenceTest, Fig7RoutesJoinAllFiveSiblingsInOneStep) {
+  workloads::HousingConfig cfg;
+  cfg.postcodes = 20;
+  auto ds = workloads::HousingDataset::Generate(cfg);
+  Query& query = *ds->query;
+  ViewTree tree(&query, &ds->vorder);
+  tree.MaterializeAll();
+  auto slots = tree.AssignAggregateSlots();
+  IvmEngine<RegressionRing> engine(&tree,
+                                   ml::RegressionLiftings(query, slots));
+  const ViewTree::Node& root = tree.node(tree.root());
+  ASSERT_EQ(root.children.size(), 6u);
+
+  for (int r = 0; r < query.relation_count(); ++r) {
+    const plan::PropagationPlan& p = engine.plans().ForRelation(r);
+    std::vector<const plan::PropagationStep*> joins = JoinSteps(p);
+    ASSERT_EQ(joins.size(), 1u) << p.DebugString(tree);
+    const plan::PropagationStep& join = *joins[0];
+    EXPECT_EQ(join.node, tree.root());
+    ASSERT_EQ(join.links.size(), 5u);
+    // The siblings in the chain's order: the root's children minus the one
+    // on this route.
+    size_t li = 0;
+    for (int c : root.children) {
+      bool on_route = false;
+      for (int rel : tree.node(c).subtree_relations) on_route |= rel == r;
+      if (on_route) continue;
+      ASSERT_LT(li, join.links.size());
+      EXPECT_EQ(join.links[li].sibling, c);
+      EXPECT_EQ(join.links[li].join.kind, JoinKind::kFullKeyPrimary);
+      ++li;
+    }
+    // Only the last link carries the ⊕; the others keep the left schema.
+    for (size_t i = 0; i + 1 < join.links.size(); ++i) {
+      EXPECT_TRUE(join.links[i].join.marg.empty());
+      EXPECT_EQ(join.links[i].join.out_schema, join.links[i].join.left_schema);
+    }
+    EXPECT_FALSE(join.last_join().marg.empty());
+
+    // DebugString: one join line per route, naming all five siblings.
+    std::vector<std::string> lines = JoinLines(p, tree);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(CountOf(lines[0], " ⊗ "), 5u) << lines[0];
+    for (const plan::JoinLink& l : join.links) {
+      EXPECT_NE(lines[0].find(tree.node(l.sibling).name), std::string::npos);
+    }
+    EXPECT_NE(lines[0].find("fused ⊕[postcode]"), std::string::npos)
+        << lines[0];
+  }
+}
+
+TEST(PlanEquivalenceTest, SingleAndSecondaryProbeJoinsAreNotFused) {
+  // Keyed R(A,B) ⋈ S(B,C) with free A: one sibling join on R's route.
+  {
+    Catalog catalog;
+    Query query(&catalog);
+    VarId A = catalog.Intern("A"), B = catalog.Intern("B"),
+          C = catalog.Intern("C");
+    query.AddRelation("R", Schema{A, B});
+    query.AddRelation("S", Schema{B, C});
+    query.SetFreeVars(Schema{A});
+    VariableOrder vo = VariableOrder::Auto(query);
+    ViewTree tree(&query, &vo);
+    tree.ComputeMaterialization({0});
+    IvmEngine<I64Ring> engine(&tree, {});
+    std::vector<const plan::PropagationStep*> joins =
+        JoinSteps(engine.plans().ForRelation(0));
+    ASSERT_EQ(joins.size(), 1u);
+    EXPECT_EQ(joins[0]->links.size(), 1u);
+  }
+  // Fig13 triangle: sibling joins probe secondary indexes, never fused.
+  {
+    workloads::TwitterConfig cfg;
+    cfg.nodes = 30;
+    cfg.edges = 150;
+    auto ds = workloads::TwitterDataset::Generate(cfg);
+    Query& query = *ds->query;
+    ViewTree tree(&query, &ds->vorder);
+    tree.ComputeMaterialization({0, 1, 2});
+    auto slots = tree.AssignAggregateSlots();
+    IvmEngine<RegressionRing> engine(&tree,
+                                     ml::RegressionLiftings(query, slots));
+    size_t secondary = 0;
+    for (int r = 0; r < query.relation_count(); ++r) {
+      const plan::PropagationPlan& p = engine.plans().ForRelation(r);
+      for (const plan::PropagationStep* s : JoinSteps(p)) {
+        EXPECT_EQ(s->links.size(), 1u) << p.DebugString(tree);
+        secondary += s->last_join().kind == JoinKind::kSecondaryProbe;
+      }
+      EXPECT_EQ(JoinLines(p, tree).size(), JoinSteps(p).size());
+    }
+    EXPECT_GT(secondary, 0u);
+  }
+}
+
+// The relational ring's product concatenates payload schemas left to right,
+// so a multi-way join that multiplied in any order but the chain's would
+// produce root payloads over a permuted schema. Star Q(A,B,C,D,E) = R(A,B) ⊗
+// S(A,C) ⊗ T(A,D) ⊗ U(A,E) with every variable lifted to a singleton: each
+// route's three sibling probes fuse into one step, and the root payloads
+// must match the seed interpreter's chain exactly, schema order included.
+TEST(PlanEquivalenceTest, RelationalRingStarKeepsPayloadOrder) {
+  Catalog catalog;
+  Query query(&catalog);
+  VarId A = catalog.Intern("A"), B = catalog.Intern("B"),
+        C = catalog.Intern("C"), D = catalog.Intern("D"),
+        E = catalog.Intern("E");
+  query.AddRelation("R", Schema{A, B});
+  query.AddRelation("S", Schema{A, C});
+  query.AddRelation("T", Schema{A, D});
+  query.AddRelation("U", Schema{A, E});
+  VariableOrder vo;
+  int a = vo.AddNode(A, -1);
+  for (VarId v : {B, C, D, E}) vo.AddNode(v, a);
+  std::string error;
+  ASSERT_TRUE(vo.Finalize(query, &error)) << error;
+  ViewTree tree(&query, &vo);
+  tree.MaterializeAll();
+  LiftingMap<RelationalRing> lifts;
+  for (VarId v : {A, B, C, D, E}) lifts.Set(v, RelationalLifting(v));
+
+  IvmEngine<RelationalRing> compiled(&tree, lifts);
+  IvmEngine<RelationalRing> reference(&tree, lifts);
+  for (int r = 0; r < query.relation_count(); ++r) {
+    std::vector<const plan::PropagationStep*> joins =
+        JoinSteps(compiled.plans().ForRelation(r));
+    ASSERT_EQ(joins.size(), 1u);
+    EXPECT_EQ(joins[0]->links.size(), 3u);
+  }
+  Database<RelationalRing> empty = MakeDatabase<RelationalRing>(query);
+  compiled.Initialize(empty);
+  reference.Initialize(empty);
+
+  auto stream = RandomStream(query, 600, 3, /*seed=*/29);
+  CheckCompiledMatchesInterpreter(compiled, reference, query, stream, 100);
+  ASSERT_FALSE(compiled.result().empty());
+  ASSERT_EQ(compiled.result().size(), reference.result().size());
+  compiled.result().ForEach([&](const Tuple& k, const PayloadRelation& p) {
+    const PayloadRelation* q = reference.result().Find(k);
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(p.schema(), q->schema()) << "payload schema order diverged";
+    EXPECT_TRUE(p == *q);
+  });
+}
+
+// A star wider than the executor's inline buffers (8 right sides): eleven
+// relations R_i(A, X_i) under A, so every route fuses ten sibling probes and
+// the per-batch hash and hit arrays spill to the heap. Exact counting ring.
+TEST(PlanEquivalenceTest, WideStarBeyondInlineCapacityMatchesSeedInterpreter) {
+  constexpr int kRelations = 11;
+  Catalog catalog;
+  Query query(&catalog);
+  VarId A = catalog.Intern("A");
+  VariableOrder vo;
+  int a = vo.AddNode(A, -1);
+  for (int i = 0; i < kRelations; ++i) {
+    const std::string suffix = std::to_string(i);
+    VarId x = catalog.Intern(std::string("X").append(suffix));
+    query.AddRelation(std::string("R").append(suffix), Schema{A, x});
+    vo.AddNode(x, a);
+  }
+  std::string error;
+  ASSERT_TRUE(vo.Finalize(query, &error)) << error;
+  ViewTree tree(&query, &vo);
+  tree.MaterializeAll();
+
+  IvmEngine<I64Ring> compiled(&tree, {});
+  IvmEngine<I64Ring> reference(&tree, {});
+  for (int r = 0; r < kRelations; ++r) {
+    std::vector<const plan::PropagationStep*> joins =
+        JoinSteps(compiled.plans().ForRelation(r));
+    ASSERT_EQ(joins.size(), 1u);
+    EXPECT_EQ(joins[0]->links.size(), size_t{kRelations - 1});
+  }
+  Database<I64Ring> empty = MakeDatabase<I64Ring>(query);
+  compiled.Initialize(empty);
+  reference.Initialize(empty);
+  auto stream = RandomStream(query, 3000, 4, /*seed=*/43);
+  CheckCompiledMatchesInterpreter(compiled, reference, query, stream, 300);
+  EXPECT_FALSE(compiled.result().empty());
+}
+
+// A fused run whose siblings key on different positions of the delta:
+// R(A,B,X), S(A,B), T(B,Y) under A - B - {X, Y}. At node B, R's delta
+// [A,B] probes S on [A,B] and T's view on [B] in one step, so the two
+// probes need their own hashes.
+TEST(PlanEquivalenceTest, FusedProbesOnDifferentKeysMatchSeedInterpreter) {
+  Catalog catalog;
+  Query query(&catalog);
+  VarId A = catalog.Intern("A"), B = catalog.Intern("B"),
+        X = catalog.Intern("X"), Y = catalog.Intern("Y");
+  query.AddRelation("R", Schema{A, B, X});
+  query.AddRelation("S", Schema{A, B});
+  query.AddRelation("T", Schema{B, Y});
+  VariableOrder vo;
+  int a = vo.AddNode(A, -1);
+  int b = vo.AddNode(B, a);
+  vo.AddNode(X, b);
+  vo.AddNode(Y, b);
+  std::string error;
+  ASSERT_TRUE(vo.Finalize(query, &error)) << error;
+  ViewTree tree(&query, &vo);
+  tree.MaterializeAll();
+
+  IvmEngine<I64Ring> compiled(&tree, {});
+  IvmEngine<I64Ring> reference(&tree, {});
+  const plan::PropagationPlan& p = compiled.plans().ForRelation(0);
+  std::vector<const plan::PropagationStep*> joins = JoinSteps(p);
+  ASSERT_FALSE(joins.empty());
+  ASSERT_EQ(joins[0]->links.size(), 2u) << p.DebugString(tree);
+  EXPECT_NE(joins[0]->links[0].join.right_key_pos.size(),
+            joins[0]->links[1].join.right_key_pos.size());
+  Database<I64Ring> empty = MakeDatabase<I64Ring>(query);
+  compiled.Initialize(empty);
+  reference.Initialize(empty);
+  auto stream = RandomStream(query, 3000, 5, /*seed=*/47);
+  CheckCompiledMatchesInterpreter(compiled, reference, query, stream, 300);
+  EXPECT_FALSE(compiled.result().empty());
+}
+
+// Initialize and Evaluate run a node whose children are all stored and keyed
+// on the first child's variables as one multi-way join over the children's
+// stores. On integer-valued housing data (aggregates exact) the root equals
+// naive re-evaluation — the full join, then marginalization — and the
+// binary-chain fallback (children not stored) gives the same root.
+TEST(PlanEquivalenceTest, FusedEvaluateMatchesNaiveReevaluation) {
+  workloads::HousingConfig cfg;
+  cfg.postcodes = 4;
+  auto ds = workloads::HousingDataset::Generate(cfg);
+  Query& query = *ds->query;
+  util::Rng rng(61);
+  Database<RegressionRing> db = MakeDatabase<RegressionRing>(query);
+  for (int r = 0; r < query.relation_count(); ++r) {
+    const size_t arity = query.relation(r).schema.size();
+    for (int i = 0; i < 8; ++i) {
+      Tuple t;
+      t.Append(Value::Int(rng.UniformInt(0, 2)));  // postcode
+      for (size_t c = 1; c < arity; ++c) {
+        t.Append(Value::Int(rng.UniformInt(0, 9)));
+      }
+      db[r].Add(std::move(t), RegressionRing::One());
+    }
+  }
+  ViewTree fused(&query, &ds->vorder);
+  fused.MaterializeAll();
+  ASSERT_EQ(fused.node(fused.root()).children.size(), 6u);
+  ViewTree chained(&query, &ds->vorder);
+  chained.ComputeMaterialization({});
+  for (int c : chained.node(chained.root()).children) {
+    ASSERT_FALSE(chained.node(c).materialized);
+  }
+  auto lifts = ml::RegressionLiftings(query, fused.AssignAggregateSlots());
+
+  Relation<RegressionRing> naive = NaiveReevaluate(query, db, lifts);
+  ASSERT_FALSE(naive.empty());
+  EXPECT_TRUE(ContentEquals(
+      IvmEngine<RegressionRing>::Evaluate(fused, lifts, db), naive));
+  EXPECT_TRUE(ContentEquals(
+      IvmEngine<RegressionRing>::Evaluate(chained, lifts, db), naive));
+  IvmEngine<RegressionRing> engine(&fused, lifts);
+  engine.Initialize(db);
+  EXPECT_TRUE(ContentEquals(engine.result(), naive));
 }
 
 /// Counts secondary indexes across every store of the engine's tree.

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "src/core/ivm_engine.h"
 #include "src/core/query.h"
 #include "src/core/variable_order.h"
@@ -61,6 +66,36 @@ TEST(ZeroAllocProbeTest, SecondaryIndexProbeIsAllocationFree) {
   int64_t after = util::MemoryTracker::AllocationCount();
   EXPECT_EQ(after - before, 0);
   EXPECT_GT(matches, 0);
+}
+
+// The per-thread count attributes allocations to the thread that made them:
+// while another thread allocates 1000 times, the calling thread's count
+// stays put and only the process-wide count moves. Per-step plan profiles
+// rely on this to exclude concurrent shards, readers and the WAL.
+TEST(ZeroAllocProbeTest, ThreadAllocationCountExcludesOtherThreads) {
+  std::atomic<int> phase{0};  // 0 wait, 1 allocate, 2 done
+  std::vector<std::unique_ptr<int>> kept;  // keeps the allocations observable
+  std::thread other([&phase, &kept] {
+    while (phase.load(std::memory_order_acquire) == 0) {
+    }
+    for (int i = 0; i < 1000; ++i) kept.push_back(std::make_unique<int>(i));
+    phase.store(2, std::memory_order_release);
+  });
+  const int64_t mine0 = util::MemoryTracker::ThreadAllocationCount();
+  const int64_t all0 = util::MemoryTracker::AllocationCount();
+  phase.store(1, std::memory_order_release);
+  while (phase.load(std::memory_order_acquire) != 2) {
+  }
+  const int64_t mine1 = util::MemoryTracker::ThreadAllocationCount();
+  const int64_t all1 = util::MemoryTracker::AllocationCount();
+  other.join();
+  EXPECT_EQ(mine1 - mine0, 0);
+  EXPECT_GE(all1 - all0, 1000);
+  EXPECT_EQ(kept.size(), 1000u);
+
+  // The calling thread's own allocations do count.
+  kept.push_back(std::make_unique<int>(-1));
+  EXPECT_GE(util::MemoryTracker::ThreadAllocationCount() - mine1, 1);
 }
 
 // Same property through the primary index: Relation::Find with a view key.
