@@ -33,8 +33,9 @@
 //    never double-apply. ApplyBatch consumes its delta, so every attempt
 //    but the last applies a copy. An absorbed publish failure leaves the
 //    segments staged for the next flush's publish — visibility delayed,
-//    never lost. MergeStep is not retried: a failed merge is counted in
-//    merge_failures and its segments wait for the next flush's merge.
+//    never lost. Merges are not retried: a failed merge (MergeSmall after
+//    each publish, MergeStep after each flush) is counted in
+//    merge_failures and its segments wait for the next merge.
 //  * Clean shutdown: Stop() stops admission, drains every queued update
 //    through flush→apply→publish, then joins the service thread. With
 //    kBlock admission nothing offered before Stop() is lost.
@@ -125,9 +126,9 @@ struct ServiceOptions {
   /// First retry sleep; doubles per attempt up to retry_backoff_cap.
   std::chrono::microseconds retry_backoff{50};
   std::chrono::microseconds retry_backoff_cap{10000};
-  /// Run one SnapshotServer::MergeStep after each flush (no-op without a
-  /// server; merge failures are counted and absorbed — the next flush
-  /// retries).
+  /// Run SnapshotServer::MergeSmall after each published batch and one
+  /// MergeStep after each flush (no-op without a server; merge failures
+  /// are counted and absorbed — the next merge retries).
   bool merge_each_flush = true;
   /// Admission policy applied to every relation unless overridden via
   /// SetQueuePolicy.
@@ -157,7 +158,7 @@ struct IngestStats {
   uint64_t apply_retries = 0;
   uint64_t publish_retries = 0;
   uint64_t publish_failures = 0;  // retry budget exhausted (absorbed)
-  uint64_t merge_failures = 0;    // absorbed; next flush retries
+  uint64_t merge_failures = 0;    // absorbed; next merge retries
   /// Flush/apply retry budget exhausted on the service thread: the window's
   /// updates were abandoned (engine state stays consistent — the failed
   /// operation was all-or-nothing). Only non-zero under persistent faults.
@@ -198,7 +199,8 @@ class IngestService {
     if (server_ != nullptr) {
       // Publish runs inside ApplyBatch (after the batch merged into the
       // stores), so an escaping exception would make the apply supervisor
-      // re-run an already applied batch; exhaustion is absorbed instead.
+      // re-run an already applied batch; exhaustion is absorbed instead,
+      // as is a failed small-differential fold (the next one retries).
       executor_->SetPostBatchHook([this] {
         Supervise(
             &IngestStats::publish_retries, [this](bool) { server_->Publish(); },
@@ -206,6 +208,13 @@ class IngestService {
               std::lock_guard<std::mutex> lk(mu_);
               stats_.publish_failures += 1;
             });
+        if (!opts_.merge_each_flush) return;
+        try {
+          server_->MergeSmall();
+        } catch (const std::exception&) {
+          std::lock_guard<std::mutex> lk(mu_);
+          stats_.merge_failures += 1;
+        }
       });
     }
     obs_visibility_ns_ =

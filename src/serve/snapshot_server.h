@@ -45,8 +45,9 @@ struct MergePolicy {
 ///  - Publish() — wired per batch via ParallelExecutor::SetPostBatchHook —
 ///    freezes dirty staging relations into segments by move, swaps in a new
 ///    VersionSet, retires the old one, and advances the reclamation epoch;
-///  - MergeStep()/MergeNow() (IngestService calls MergeStep after each
-///    flush) fold base ⊎ segments into the next generation off-lock:
+///  - MergeStep()/MergeNow()/MergeSmall() (IngestService calls MergeSmall
+///    after each publish and MergeStep after each flush) fold base ⊎
+///    segments into the next generation off-lock:
 ///    segments coalesce into one differential, which is absorbed into the
 ///    *spare* — the base generation the previous merge displaced,
 ///    double-buffered against the installed one. The spare is generation g-1; absorbing
@@ -148,6 +149,10 @@ class SnapshotServer {
     engine_->SetStoreDeltaObserver(
         [this](int node, const Rel& delta) { OnStoreDelta(node, delta); });
   }
+
+  /// Differentials of at most this many keys (summed over segments) are
+  /// what MergeSmall() folds.
+  static constexpr size_t kSmallFoldKeys = 32;
 
   SnapshotServer(IvmEngine<Ring>* engine, MergePolicy policy = {})
       : SnapshotServer(engine, std::vector<int>{engine->tree().root()},
@@ -394,10 +399,20 @@ class SnapshotServer {
   /// folded their differential into a new base generation. The fold runs
   /// off the writer lock against a pinned snapshot; only the final install
   /// takes it. Merges are serialized against each other internally.
-  size_t MergeStep() { return MergeImpl(/*force=*/false); }
+  size_t MergeStep() { return MergeImpl(Scope::kPolicy); }
 
   /// Folds every non-empty differential regardless of policy bounds.
-  size_t MergeNow() { return MergeImpl(/*force=*/true); }
+  size_t MergeNow() { return MergeImpl(Scope::kAll); }
+
+  /// Folds only differentials of at most kSmallFoldKeys keys, regardless
+  /// of policy bounds. Every lookup probes every segment, and a store with
+  /// few keys (a scalar root) gains a segment per published batch: left to
+  /// the bounds, a read's cost would depend on how many batches published
+  /// since the last merge, and a fresh read would pull each of their
+  /// payloads from the writer's cache. Folding that few keys right after
+  /// each publish (IngestService does) costs a few ring additions and
+  /// keeps such stores segment-free.
+  size_t MergeSmall() { return MergeImpl(Scope::kSmall); }
 
   /// Frees retired VersionSets and displaced generations whose last
   /// possible reader has drained. Publish and merge reclaim
@@ -591,7 +606,9 @@ class SnapshotServer {
     fs.spare_drained = false;
   }
 
-  size_t MergeImpl(bool force) {
+  enum class Scope { kPolicy, kAll, kSmall };
+
+  size_t MergeImpl(Scope which) {
     // One merger at a time: segment-list prefixes below are only stable
     // when no other merge can install between the fold and the install,
     // and the fold states are the merger's own.
@@ -615,10 +632,13 @@ class SnapshotServer {
       if (sv.segments.empty()) continue;
       size_t diff_keys = 0;
       for (const RelPtr& s : sv.segments) diff_keys += s->size();
-      if (!force && sv.segments.size() < policy_.max_segments &&
-          diff_keys < policy_.max_diff_keys) {
-        continue;
-      }
+      const bool fold =
+          which == Scope::kAll ||
+          (which == Scope::kSmall && diff_keys <= kSmallFoldKeys) ||
+          (which == Scope::kPolicy &&
+           (sv.segments.size() >= policy_.max_segments ||
+            diff_keys >= policy_.max_diff_keys));
+      if (!fold) continue;
       folds.push_back(
           Fold{i, sv.segments.size(), diff_keys, nullptr, Rel()});
     }

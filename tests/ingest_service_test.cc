@@ -308,6 +308,31 @@ TEST(IngestServiceTest, WorksWithoutSnapshotServer) {
   EXPECT_TRUE(ContentEquals(p.engine->result(), p.ReferenceResult(updates)));
 }
 
+TEST(IngestServiceTest, SmallDifferentialsFoldAfterEveryPublish) {
+  // One flush applies a batch per relation, each publishing a segment of
+  // a few root keys; MergeSmall after each publish folds them, so readers
+  // of the flushed state probe no segments even below the merge policy.
+  Pipeline p;
+  std::vector<std::tuple<int, int64_t, int64_t, int64_t>> updates;
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t i = 0; i < 4; ++i) {
+      updates.emplace_back(0, i + 4 * round, i % 2, 1);
+      updates.emplace_back(1, i % 2, i + 4 * round, 1);
+    }
+    for (size_t u = updates.size() - 8; u < updates.size(); ++u) {
+      auto [r, x, y, m] = updates[u];
+      ASSERT_TRUE(p.service->Offer(r, Tuple::Ints({x, y}), m));
+    }
+    p.service->DrainNow();
+  }
+
+  EXPECT_GE(p.server->PublishCount(), 3u);
+  EXPECT_EQ(p.server->MergeCount(), p.server->PublishCount());
+  auto snap = p.server->Acquire();
+  EXPECT_EQ(snap.segment_count(), 0u);
+  EXPECT_TRUE(ContentEquals(snap.Materialize(), p.ReferenceResult(updates)));
+}
+
 TEST(IngestServiceTest, SupervisorRetriesInjectedFaultsToCompletion) {
   // Every supervised boundary fails a few times; the service must retry
   // through all of them and land exactly the reference state.

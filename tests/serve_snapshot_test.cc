@@ -266,6 +266,36 @@ TEST(SnapshotServerTest, MergeStepHonorsPolicyBounds) {
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
 
+TEST(SnapshotServerTest, MergeSmallFoldsOnlySmallDifferentials) {
+  // Far below both policy bounds, MergeSmall folds a differential of at
+  // most kSmallFoldKeys keys and leaves one key more for MergeStep.
+  Fixture f;
+  f.Apply(1, {{10, 5}});
+  MergePolicy policy;
+  policy.max_segments = 1u << 20;
+  policy.max_diff_keys = 1u << 30;
+  Server server(&*f.engine, policy);
+  int64_t next_a = 1;
+  auto publish_keys = [&](size_t n) {  // n new root keys, one segment
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    for (size_t i = 0; i < n; ++i) rows.emplace_back(next_a++, 10);
+    f.Apply(0, std::move(rows));
+    server.Publish();
+  };
+
+  publish_keys(1);
+  publish_keys(Server::kSmallFoldKeys - 1);
+  EXPECT_EQ(server.MergeStep(), 0u) << "below both bounds";
+  EXPECT_EQ(server.MergeSmall(), 1u);
+  EXPECT_EQ(server.SegmentCount(), 0u);
+
+  publish_keys(Server::kSmallFoldKeys + 1);
+  EXPECT_EQ(server.MergeSmall(), 0u);
+  EXPECT_EQ(server.SegmentCount(), 1u);
+  auto snap = server.Acquire();
+  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
+}
+
 TEST(SnapshotServerTest, ReclamationWaitsForPinnedSnapshots) {
   Fixture f;
   f.Apply(1, {{10, 5}});
