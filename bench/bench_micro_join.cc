@@ -101,7 +101,7 @@ BENCHMARK(BM_DeltaJoinWideKeys);
 
 // Two-hop propagation chain with running absorption into a root store:
 // δ → ⊕(δ ⊗ S) → ⊕(· ⊗ T) → root. This is the data-layer shape of
-// IvmEngine::PropagateUp for a 3-relation path query.
+// IvmEngine::ApplyDelta for a 3-relation path query.
 void BM_DeltaPropagateChain(benchmark::State& state) {
   util::Rng rng(14);
   auto store_s = MakeStore(100000, 1 << 10, 1 << 10, rng);

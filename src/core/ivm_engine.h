@@ -71,10 +71,18 @@ struct LeafObs {
 /// that owns each variable. (Factor schemas vary per update, so this path
 /// derives its specs per call.)
 ///
+/// Every apply follows the trigger's two phases: propagation *stages* the
+/// delta of each materialized store on the path (StagedDeltas), and only
+/// then does AbsorbStaged add them to the stores. AbsorbStaged is the one
+/// store-write path after Initialize/RestoreStore — for the engine's own
+/// triggers and the parallel executor's shard merge alike — so an apply
+/// that throws mid-propagation leaves every store as it was.
+///
 /// If the tree carries indicator projections (Appendix B), updates to an
 /// indicated relation trigger a second, sequential propagation from each
 /// indicator leaf; per-key support counts (Example B.2) turn base-relation
-/// deltas into indicator deltas.
+/// deltas into indicator deltas. Those counts advance before propagation,
+/// so an apply to an indicated relation is not all-or-nothing.
 template <typename Ring>
 class IvmEngine {
  public:
@@ -90,6 +98,10 @@ class IvmEngine {
   struct PropagationScratch {
     Relation<Ring> buf[2];
   };
+
+  /// Store deltas staged by propagation, (view node, store-schema delta)
+  /// in leaf-to-root path order.
+  using StagedDeltas = std::vector<std::pair<int, Relation<Ring>>>;
 
   /// `tree` must outlive the engine and must already carry a
   /// materialization plan (ComputeMaterialization / MaterializeAll).
@@ -126,11 +138,16 @@ class IvmEngine {
     stores_[static_cast<size_t>(node)] = std::move(contents);
   }
 
-  /// Applies an update δR to relation `relation` (Figure 4 delta tree):
-  /// propagates delta views leaf-to-root and refreshes every materialized
-  /// store on the path, then propagates any indicator deltas sequentially.
-  /// The rvalue overload consumes the delta, so a freshly built update
-  /// batch flows into propagation without a per-batch deep copy.
+  /// Applies an update δR to relation `relation` (Figure 4 delta tree) in
+  /// the trigger's two phases: propagation stages the delta of every
+  /// materialized store on the leaf-to-root path (the leaf's own included),
+  /// then AbsorbStaged adds them to the stores; any indicator deltas follow
+  /// the same way, one after the other. Without indicator leaves the apply
+  /// is all-or-nothing: if propagation throws, no store has changed. (An
+  /// indicated relation's support counts advance before propagation, so
+  /// such an apply is not.) The rvalue overload consumes the delta, so a
+  /// freshly built update batch flows into propagation without a
+  /// per-batch deep copy.
   void ApplyDelta(int relation, const Relation<Ring>& delta) {
     const Schema& target =
         tree_->node(tree_->LeafOfRelation(relation)).out_schema;
@@ -139,7 +156,7 @@ class IvmEngine {
       return;
     }
     // Reorder straight from the reference: one materialization, not a deep
-    // copy followed by a rebuild inside ReorderIfNeeded.
+    // copy followed by a rebuild inside Reordered.
     Relation<Ring> reordered(target);
     reordered.Reserve(delta.size());
     auto pos = delta.schema().PositionsOf(target);
@@ -162,56 +179,39 @@ class IvmEngine {
     }
 
     int leaf = tree_->LeafOfRelation(relation);
-    if (tree_->node(leaf).materialized) AbsorbStoreDelta(leaf, delta);
-    PropagateUp(leaf,
-                ReorderIfNeeded(std::move(delta),
-                                tree_->node(leaf).out_schema));
+    staged_.clear();  // a propagation that threw may have left entries
+    PropagateDelta(leaf,
+                   Reordered(std::move(delta), tree_->node(leaf).out_schema),
+                   &staged_, &seq_scratch_);
+    AbsorbStaged(staged_);
 
     for (auto& [ind_leaf, ind_delta] : indicator_deltas) {
       if (ind_delta.empty()) continue;
-      if (tree_->node(ind_leaf).materialized) {
-        AbsorbStoreDelta(ind_leaf, ind_delta);
-      }
-      PropagateUp(ind_leaf, std::move(ind_delta));
-    }
-  }
-
-  /// A bulk of updates to distinct relations is handled as a sequence of
-  /// single-relation updates (Section 4, "IVM Triggers"). The rvalue
-  /// overload consumes each delta, sparing one deep copy per entry on the
-  /// common build-then-apply pattern.
-  void ApplyUpdates(
-      const std::vector<std::pair<int, Relation<Ring>>>& deltas) {
-    for (const auto& [relation, delta] : deltas) {
-      ApplyDelta(relation, delta);
-    }
-  }
-
-  void ApplyUpdates(std::vector<std::pair<int, Relation<Ring>>>&& deltas) {
-    for (auto& [relation, delta] : deltas) {
-      ApplyDelta(relation, std::move(delta));
+      PropagateDelta(ind_leaf, std::move(ind_delta), &staged_, &seq_scratch_);
+      AbsorbStaged(staged_);
     }
   }
 
   /// Applies a factorizable update δR = factors[0] ⊗ ... ⊗ factors[k-1]
   /// (disjoint schemas covering sch(R)) without materializing the product
-  /// except where a store on the path requires it (Section 5).
+  /// except where a store on the path requires it (Section 5). Like
+  /// ApplyDelta, the store deltas are staged along the path and absorbed
+  /// only once the walk has finished.
   void ApplyFactorizedDelta(int relation,
                             std::vector<Relation<Ring>> factors) {
     assert(!factors.empty());
     if (!tree_->IndicatorLeavesOfRelation(relation).empty()) {
       // Indicator maintenance needs per-tuple payloads; fall back to the
-      // expanded form, consuming the factors.
-      ApplyDelta(relation,
-                 ReorderIfNeeded(ExpandProduct(std::move(factors)),
-                                 query_relation_schema(relation)));
+      // expanded form.
+      ApplyDelta(relation, Product(factors));
       return;
     }
 
+    staged_.clear();
     std::vector<int> path = tree_->PathToRoot(relation);
     int leaf = path[0];
     if (tree_->node(leaf).materialized) {
-      AbsorbProductDelta(leaf, factors);
+      staged_.emplace_back(leaf, Product(factors));
     }
 
     int prev = leaf;
@@ -287,11 +287,10 @@ class IvmEngine {
         }
       }
 
-      if (n.materialized) {
-        AbsorbProductDelta(path[i], factors);
-      }
+      if (n.materialized) staged_.emplace_back(path[i], Product(factors));
       prev = path[i];
     }
+    AbsorbStaged(staged_);
   }
 
   /// True when updates to `relation` also fire indicator-leaf propagations.
@@ -325,20 +324,22 @@ class IvmEngine {
     }
   }
 
-  /// Adds a store-schema delta into the store of view `node` — also the
-  /// merge entry point of the parallel executor: staged shard deltas are
-  /// absorbed in shard order, which keeps the final store state
-  /// deterministic and equal to sequential application. Every store
-  /// mutation after Initialize funnels through these two overloads, which
-  /// is what makes the store-delta observer below a complete feed for the
-  /// serving layer's differential staging (src/serve/).
+  /// Adds staged store deltas to the stores in order, then clears
+  /// `staged`. Every store write after Initialize/RestoreStore goes through
+  /// here — the engine's own triggers and the parallel executor's shard
+  /// merge alike — which is what makes the store-delta observer below a
+  /// complete feed for the serving layer's differential staging
+  /// (src/serve/).
+  void AbsorbStaged(StagedDeltas& staged) {
+    for (auto& [node, d] : staged) AbsorbStoreDelta(node, std::move(d));
+    staged.clear();
+  }
+
+  /// Adds one store-schema delta into the store of view `node`, firing the
+  /// observer first.
   void AbsorbStoreDelta(int node, Relation<Ring>&& delta) {
     if (store_delta_observer_) store_delta_observer_(node, delta);
     AbsorbInto(stores_[node], std::move(delta));
-  }
-  void AbsorbStoreDelta(int node, const Relation<Ring>& delta) {
-    if (store_delta_observer_) store_delta_observer_(node, delta);
-    AbsorbInto(stores_[node], delta);
   }
 
   /// Observer of every store delta the engine absorbs, invoked (on the
@@ -353,38 +354,31 @@ class IvmEngine {
   }
 
   /// Propagates a delta from (just above) leaf `from` toward the root by
-  /// executing the compiled plan, handing `store_delta(node,
-  /// std::move(delta))` the store delta of every materialized node on the
-  /// path instead of writing the stores directly. The sink takes ownership
-  /// (no copy is staged) and must return a stable reference to the relation
-  /// it stored; propagation continues reading from that reference. `cur`
-  /// must be in the leaf's out-schema layout.
+  /// executing the compiled plan, appending to `staged` the store delta of
+  /// every materialized node on the path — the leaf's own first, when the
+  /// leaf is materialized — instead of writing the stores. Propagation
+  /// reads each staged delta in place. `cur` must be in the leaf's
+  /// out-schema layout. Nothing is written until the caller hands the list
+  /// to AbsorbStaged, so a step that throws leaves the engine unchanged.
   ///
   /// The method only *reads* engine state (sibling stores are probed,
   /// never written), so several shards of one batch may run it
   /// concurrently after PrewarmPropagationIndexes; propagation is linear
   /// in the delta, so the per-shard results merge by ⊎ into exactly the
-  /// sequential result. Each concurrent caller must pass its own
-  /// `scratch` (or use the scratch-allocating overload).
-  ///
-  /// With `stage_leaf` set, the leaf's own store delta is also handed to
-  /// the sink (first, before any plan step) instead of the caller absorbing
-  /// it into the leaf store upfront. A caller that stages every sink result
-  /// and merges only after propagation succeeds then gets all-or-nothing
-  /// semantics with respect to engine state — nothing is written if any
-  /// step throws. Only pass it for leaves with a materialized store.
-  template <typename StoreDeltaSink>
-  void PropagateDelta(int from, Relation<Ring> cur,
-                      StoreDeltaSink&& store_delta,
-                      PropagationScratch* scratch,
-                      bool stage_leaf = false) const {
+  /// sequential result. Each concurrent caller must pass its own `staged`
+  /// list and `scratch`.
+  void PropagateDelta(int from, Relation<Ring> cur, StagedDeltas* staged,
+                      PropagationScratch* scratch) const {
     const plan::PropagationPlan& p = plans_.ForLeaf(from);
     assert(p.executable() &&
            "sibling view not materialized for this updatable set");
     assert(cur.schema() == p.leaf_schema());
     Relation<Ring> owned = std::move(cur);
     const Relation<Ring>* left = &owned;
-    if (stage_leaf) left = &store_delta(from, std::move(owned));
+    if (tree_->node(from).materialized) {
+      staged->emplace_back(from, std::move(owned));
+      left = &staged->back().second;
+    }
     int next_buf = 0;
     // Per-step profile: timer + tuple counts + this thread's allocation
     // delta, recorded into the engine-owned step atomics that ExplainAnalyze
@@ -424,22 +418,17 @@ class IvmEngine {
           break;
         }
         case plan::PropagationStep::Kind::kStoreDelta: {
-          // The sink takes ownership, so the current buffer is surrendered
-          // (its slot refills from scratch on the next step). When `left`
-          // is a relation a previous sink call kept — two materialized
-          // nodes with nothing in between — re-materialize it first.
-          Relation<Ring>* surrender;
-          if (left == &owned) {
-            surrender = &owned;
-          } else if (left == &scratch->buf[0] || left == &scratch->buf[1]) {
-            surrender = const_cast<Relation<Ring>*>(left);
-          } else {
-            Relation<Ring>& out = scratch->buf[next_buf];
-            next_buf = 1 - next_buf;
-            out = *left;
-            surrender = &out;
-          }
-          left = &store_delta(s.node, std::move(*surrender));
+          // Staging takes the current buffer (its slot refills from scratch
+          // on the next step). When `left` is itself staged — two
+          // materialized nodes with nothing in between — stage a copy, made
+          // before the emplace can move the staged relations.
+          Relation<Ring> d =
+              left == &owned || left == &scratch->buf[0] ||
+                      left == &scratch->buf[1]
+                  ? std::move(*const_cast<Relation<Ring>*>(left))
+                  : Relation<Ring>(*left);
+          staged->emplace_back(s.node, std::move(d));
+          left = &staged->back().second;
           break;
         }
       }
@@ -458,13 +447,6 @@ class IvmEngine {
       }
       ++step_i;
     }
-  }
-
-  template <typename StoreDeltaSink>
-  void PropagateDelta(int from, Relation<Ring> cur,
-                      StoreDeltaSink&& store_delta) const {
-    PropagationScratch scratch;
-    PropagateDelta(from, std::move(cur), store_delta, &scratch);
   }
 
   /// Memory footprint of all materialized stores and indicator counts.
@@ -571,35 +553,6 @@ class IvmEngine {
       applied_tuples_ = reg.GetCounter("engine.applied_tuples");
     }
   }
-  const Schema& query_relation_schema(int relation) const {
-    return tree_->query().relation(relation).schema;
-  }
-
-  static Relation<Ring> ReorderIfNeeded(Relation<Ring> rel,
-                                        const Schema& target) {
-    return Reordered(std::move(rel), target);
-  }
-
-  /// Propagates a delta from (just above) `from` to the root, joining with
-  /// sibling stores, marginalizing per node, and refreshing materialized
-  /// stores. `cur` is the out-value delta of node `from`. Runs on the
-  /// engine-owned scratch, so consecutive sequential triggers reuse the
-  /// intermediate buffers' capacity — including the store-delta buffer:
-  /// the sink *swaps* the surrendered buffer with the engine-owned
-  /// `seq_held_`, handing the previous trigger's storage back to the
-  /// scratch slot instead of freeing it (Reset clears the stale contents
-  /// before the slot is written again).
-  void PropagateUp(int from, Relation<Ring> cur) {
-    PropagateDelta(from, std::move(cur),
-                   [this](int idx, Relation<Ring>&& d)
-                       -> const Relation<Ring>& {
-                     std::swap(seq_held_, d);
-                     AbsorbStoreDelta(idx, seq_held_);
-                     return seq_held_;
-                   },
-                   &seq_scratch_);
-  }
-
   /// Turns a base-relation delta into an indicator delta (±1 for keys whose
   /// support transitions between zero and non-zero), maintaining the
   /// support counts (Example B.2). Must run before the base leaf absorbs
@@ -639,34 +592,14 @@ class IvmEngine {
     return dind;
   }
 
-  /// Materializes factors[0] ⊗ ... ⊗ factors[k-1], consuming the factors:
-  /// the first factor moves into the accumulator instead of being copied.
-  static Relation<Ring> ExpandProduct(std::vector<Relation<Ring>> factors) {
+  /// Materializes factors[0] ⊗ ... ⊗ factors[k-1] without consuming the
+  /// factors (one factor is copied).
+  static Relation<Ring> Product(const std::vector<Relation<Ring>>& factors) {
     assert(!factors.empty());
-    Relation<Ring> acc = std::move(factors[0]);
-    for (size_t i = 1; i < factors.size(); ++i) {
-      acc = Join(acc, factors[i]);
-    }
-    return acc;
-  }
-
-  /// Absorbs the expanded product into `node`'s store without consuming
-  /// (or deep copying) the factors: with two or more factors the first
-  /// join already materializes a fresh accumulator, and a single factor
-  /// absorbs directly. Routed through AbsorbStoreDelta so the factorized
-  /// path feeds the store-delta observer like every other store write.
-  void AbsorbProductDelta(int node,
-                          const std::vector<Relation<Ring>>& factors) {
-    assert(!factors.empty());
-    if (factors.size() == 1) {
-      AbsorbStoreDelta(node, factors[0]);
-      return;
-    }
+    if (factors.size() == 1) return factors[0];
     Relation<Ring> acc = Join(factors[0], factors[1]);
-    for (size_t i = 2; i < factors.size(); ++i) {
-      acc = Join(acc, factors[i]);
-    }
-    AbsorbStoreDelta(node, std::move(acc));
+    for (size_t i = 2; i < factors.size(); ++i) acc = Join(acc, factors[i]);
+    return acc;
   }
 
   /// Executes a compiled kJoin step: full-key steps (one link or a fused
@@ -795,12 +728,10 @@ class IvmEngine {
   plan::PlanSet plans_;
   std::vector<Relation<Ring>> stores_;
   std::vector<Relation<I64Ring>> counts_;  // indicator support counters
-  /// Scratch for the engine's own (sequential) triggers. Concurrent
-  /// PropagateDelta callers bring their own. `seq_held_` keeps the last
-  /// store delta alive (propagation reads it after the absorb) and carries
-  /// its storage across triggers via the PropagateUp sink swap.
+  /// Scratch and staging list for the engine's own (sequential)
+  /// triggers. Concurrent PropagateDelta callers bring their own.
   PropagationScratch seq_scratch_;
-  Relation<Ring> seq_held_;
+  StagedDeltas staged_;
   /// Serving-layer tee over absorbed store deltas (empty = one untaken
   /// branch per absorb). Invoked on the absorbing thread only.
   StoreDeltaObserver store_delta_observer_;

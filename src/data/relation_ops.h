@@ -541,16 +541,6 @@ bool ContentEquals(const Relation<Ring>& a, const Relation<Ring>& b) {
 // up to 1.7x faster (BM_AbsorbHashOrdered order 2 vs 0), but every way to
 // establish that order inside the absorb costs about what it saves.
 
-/// Converts a relation between rings by mapping payloads through `fn`.
-template <typename ToRing, typename FromRing, typename Fn>
-Relation<ToRing> MapPayloads(const Relation<FromRing>& rel, Fn&& fn) {
-  Relation<ToRing> out(rel.schema());
-  rel.ForEach([&](const Tuple& k, const typename FromRing::Element& p) {
-    out.Add(k, fn(p));
-  });
-  return out;
-}
-
 }  // namespace fivm
 
 #endif  // FIVM_DATA_RELATION_OPS_H_

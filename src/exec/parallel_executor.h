@@ -39,11 +39,13 @@ namespace fivm::exec {
 /// and automatically fall back to the sequential engine path, as do batches
 /// too small to amortize the fork/merge overhead.
 ///
-/// The parallel path is all-or-nothing with respect to engine state: every
-/// store delta — the leaf's included — is staged in worker-local buffers
-/// and merged only after all tasks completed, so an exception thrown by a
-/// worker task (see the "exec.task" failpoint) propagates out of ApplyBatch
-/// with no store modified.
+/// ApplyBatch is all-or-nothing with respect to engine state on both
+/// paths, for relations without indicator leaves: every store delta — the
+/// leaf's included — is staged (in worker-local lists here, in the
+/// engine's own list on the sequential path) and absorbed through
+/// IvmEngine::AbsorbStaged only after propagation completed, so an
+/// exception thrown by a worker task (see the "exec.task" failpoint) or by
+/// a propagation step propagates out of ApplyBatch with no store modified.
 template <typename Ring>
   requires RingPolicy<Ring>
 class ParallelExecutor {
@@ -117,14 +119,11 @@ class ParallelExecutor {
     const Schema& leaf_schema = plan.leaf_schema();
     delta = Reordered(std::move(delta), leaf_schema);
 
-    // The leaf's own store delta is staged through each shard's sink along
-    // with the view deltas (stage_leaf below) rather than absorbed up
-    // front: no shared store is written until every worker task has
-    // finished, so a task that throws — an injected fault or a real one —
-    // leaves the engine exactly as it was (no partial merge). The batch
-    // content is consumed either way; retry policy lives in the caller
-    // (see ingest::IngestService).
-    const bool leaf_materialized = engine_->tree().node(leaf).materialized;
+    // Each shard stages its store deltas, the leaf's own included, and no
+    // shared store is written until every worker task has finished: a task
+    // that throws (an injected fault or a real one) leaves the engine
+    // exactly as it was. The batch content is consumed either way; retry
+    // policy lives in the caller (see ingest::IngestService).
 
     // Partition on the first sibling join's key so entries sharing a join
     // partner land in the same shard; any partition is correct
@@ -165,25 +164,17 @@ class ParallelExecutor {
     // forking.
     engine_->PrewarmPropagationIndexes(relation);
 
-    std::vector<std::vector<std::pair<int, Relation<Ring>>>> staged(shards);
+    std::vector<typename IvmEngine<Ring>::StagedDeltas> staged(shards);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(shards);
     for (size_t s = 0; s < shards; ++s) {
-      tasks.push_back([this, leaf, s, leaf_materialized, &shard_delta,
-                       &staged] {
+      tasks.push_back([this, leaf, s, &shard_delta, &staged] {
         FIVM_FAIL_POINT("exec.task");
-        auto& out = staged[s];
-        // The sink takes ownership of each store delta (no copy) and the
-        // propagation continues reading from the staged slot. Scratch is
-        // per task: concurrent plan executions must not share buffers.
+        // Scratch is per task: concurrent plan executions must not share
+        // buffers.
         typename IvmEngine<Ring>::PropagationScratch scratch;
-        engine_->PropagateDelta(
-            leaf, std::move(shard_delta[s]),
-            [&out](int node, Relation<Ring>&& d) -> const Relation<Ring>& {
-              out.emplace_back(node, std::move(d));
-              return out.back().second;
-            },
-            &scratch, /*stage_leaf=*/leaf_materialized);
+        engine_->PropagateDelta(leaf, std::move(shard_delta[s]), &staged[s],
+                                &scratch);
       });
     }
     // Rethrows the first task exception only after every task finished its
@@ -194,11 +185,7 @@ class ParallelExecutor {
     // Deterministic shard-ordered merge into the shared stores; each staged
     // delta is absorbed in arrival order (see AbsorbInto).
     const uint64_t merge_t0 = obs::TickClock::Now();
-    for (size_t s = 0; s < shards; ++s) {
-      for (auto& [node, d] : staged[s]) {
-        engine_->AbsorbStoreDelta(node, std::move(d));
-      }
-    }
+    for (size_t s = 0; s < shards; ++s) engine_->AbsorbStaged(staged[s]);
     obs_merge_ns_->RecordTicks(obs::TickClock::Now() - merge_t0);
     if (post_batch_) post_batch_();
   }

@@ -28,14 +28,19 @@
 //    only its exhaustion policy — a seal sheds the window, flush and apply
 //    rethrow, publish counts publish_failures and absorbs. The underlying
 //    operations are all-or-nothing (batcher.flush / serve.publish
-//    failpoints sit before any state change; the parallel executor stages
-//    every store delta until all worker tasks succeed), so a retry can
-//    never double-apply. ApplyBatch consumes its delta, so every attempt
-//    but the last applies a copy. An absorbed publish failure leaves the
-//    segments staged for the next flush's publish — visibility delayed,
-//    never lost. Merges are not retried: a failed merge (MergeSmall after
-//    each publish, MergeStep after each flush) is counted in
-//    merge_failures and its segments wait for the next merge.
+//    failpoints sit before any state change; every apply, parallel or
+//    sequential, stages its store deltas and writes them through
+//    IvmEngine::AbsorbStaged only after propagation succeeded), so a retry
+//    can never double-apply. One exception: an apply to a relation with
+//    indicator leaves advances the indicator support counts first and
+//    absorbs the base delta before the indicator propagation runs, so a
+//    fault there is not rolled back and a retry applies it again.
+//    ApplyBatch consumes its delta, so every attempt but the last applies
+//    a copy. An absorbed publish failure leaves the segments staged for
+//    the next flush's publish — visibility delayed, never lost. Merges are
+//    not retried: a failed merge (MergeSmall after each publish, MergeStep
+//    after each flush) is counted in merge_failures and its segments wait
+//    for the next merge.
 //  * Clean shutdown: Stop() stops admission, drains every queued update
 //    through flush→apply→publish, then joins the service thread. With
 //    kBlock admission nothing offered before Stop() is lost.
@@ -589,7 +594,8 @@ class IngestService {
       for (auto& b : batches) {
         // ApplyBatch consumes its delta but is all-or-nothing with respect
         // to engine state (and the publish hook never throws), so retrying
-        // from the retained original cannot double-apply.
+        // from the retained original cannot double-apply (indicator leaves
+        // aside; see the header comment).
         Supervise(
             &IngestStats::apply_retries,
             [&](bool last) {

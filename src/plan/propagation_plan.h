@@ -37,7 +37,7 @@ struct JoinLink {
 ///  - kMarginalize: marginalize per the precompiled MargSpec (store-level or
 ///    out-level marginalization that could not be fused into a join);
 ///  - kStoreDelta: the delta, in `node`'s store schema, is a store delta of
-///    materialized view `node` — hand it to the absorb sink.
+///    materialized view `node` — stage it for IvmEngine::AbsorbStaged.
 struct PropagationStep {
   enum class Kind : uint8_t { kJoin, kMarginalize, kStoreDelta };
 

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,7 +39,8 @@ using Rel = Relation<I64Ring>;
 /// Q(A) = Σ_{B,C} R(A,B) ⋈ S(B,C) with the full service pipeline behind it:
 /// pool → executor → batcher → snapshot server → ingest service.
 struct Pipeline {
-  explicit Pipeline(ServiceOptions opts = {}, bool with_server = true) {
+  explicit Pipeline(ServiceOptions opts = {}, bool with_server = true,
+                    LiftingMap<I64Ring> lifts = {}) {
     A = catalog.Intern("A");
     B = catalog.Intern("B");
     C = catalog.Intern("C");
@@ -47,7 +50,7 @@ struct Pipeline {
     vo = VariableOrder::Auto(query);
     tree.emplace(&query, &vo);
     tree->MaterializeAll();
-    engine.emplace(&*tree, LiftingMap<I64Ring>{});
+    engine.emplace(&*tree, std::move(lifts));
     Database<I64Ring> db = MakeDatabase<I64Ring>(query);
     engine->Initialize(db);
     pool.emplace(2);
@@ -366,6 +369,52 @@ TEST(IngestServiceTest, SupervisorRetriesInjectedFaultsToCompletion) {
   EXPECT_TRUE(ContentEquals(p.engine->result(), expect));
   auto snap = p.server->Acquire();
   EXPECT_TRUE(ContentEquals(snap.Materialize(), expect));
+}
+
+TEST(IngestServiceTest, RetriedSequentialApplyDoesNotDoubleApply) {
+  // A window small enough for the executor's sequential fallback, whose
+  // propagation throws once (a lift on B with a one-shot fault): the
+  // supervised retry must land exactly a fault-free twin's stores — the
+  // failed attempt wrote nothing, the S leaf included.
+  ServiceOptions opts;
+  opts.flush_updates = 1000;
+  opts.max_retries = 2;
+  opts.retry_backoff = std::chrono::microseconds(1);
+  auto fuse = std::make_shared<std::atomic<int>>(0);
+  auto lifts = [&] {
+    LiftingMap<I64Ring> l;
+    VarId b = 1;  // interned second by Pipeline
+    l.Set(b, [fuse](const Value&) -> int64_t {
+      if (fuse->load() > 0 && fuse->fetch_sub(1) == 1) {
+        throw std::runtime_error("injected lift fault");
+      }
+      return 2;
+    });
+    return l;
+  };
+  Pipeline p(opts, /*with_server=*/true, lifts());
+  Pipeline twin(opts, /*with_server=*/true, lifts());
+  ASSERT_EQ(p.B, 1u);
+
+  auto offer = [](Pipeline& q, int rel, int64_t n, int64_t mod) {
+    for (int64_t i = 0; i < n; ++i) {
+      q.service->Offer(rel, Tuple::Ints({i % mod, i}), 1);
+    }
+    q.service->DrainNow();
+  };
+  offer(p, 0, 20, 4);  // R(A,B): the S-delta joins these
+  offer(twin, 0, 20, 4);
+  fuse->store(2);      // the second lift call of the next apply throws
+  offer(p, 1, 8, 4);   // S(B,C): 8 keys, below kMinParallelKeys
+  EXPECT_EQ(fuse->load(), 0) << "the lift fault did not fire";
+  offer(twin, 1, 8, 4);
+
+  auto stats = p.service->GetStats();
+  EXPECT_EQ(stats.apply_retries, 1u);
+  EXPECT_EQ(stats.failed_flushes, 0u);
+  EXPECT_TRUE(exec::StoresContentEqual(*p.engine, *twin.engine));
+  EXPECT_TRUE(ContentEquals(p.server->Acquire().Materialize(),
+                            twin.engine->result()));
 }
 
 TEST(IngestServiceTest, PublishFailurePastBudgetDelaysVisibilityOnly) {

@@ -76,33 +76,6 @@ TEST(IntegrationTest, StatsStringListsMaterializedViews) {
   EXPECT_NE(stats.find("bytes"), std::string::npos);
 }
 
-TEST(IntegrationTest, ApplyUpdatesSequencesLikeIndividualDeltas) {
-  auto ds = SmallRetailer();
-  ViewTree tree(ds->query.get(), &ds->vorder);
-  tree.MaterializeAll();
-  IvmEngine<I64Ring> a(&tree, LiftingMap<I64Ring>{});
-  IvmEngine<I64Ring> b(&tree, LiftingMap<I64Ring>{});
-  Database<I64Ring> empty = MakeDatabase<I64Ring>(*ds->query);
-  a.Initialize(empty);
-  b.Initialize(empty);
-
-  std::vector<std::pair<int, Relation<I64Ring>>> bulk;
-  for (int r = 0; r < 5; ++r) {
-    Relation<I64Ring> delta(ds->query->relation(r).schema);
-    for (size_t i = 0; i < std::min<size_t>(20, ds->tuples[r].size()); ++i) {
-      delta.Add(ds->tuples[r][i], 1);
-    }
-    bulk.emplace_back(r, std::move(delta));
-  }
-
-  a.ApplyUpdates(bulk);
-  for (const auto& [r, delta] : bulk) b.ApplyDelta(r, delta);
-
-  const int64_t* ra = a.result().Find(Tuple());
-  const int64_t* rb = b.result().Find(Tuple());
-  EXPECT_EQ(ra ? *ra : 0, rb ? *rb : 0);
-}
-
 TEST(IntegrationTest, InitializeIsIdempotentAndResets) {
   auto ds = SmallRetailer();
   ViewTree tree(ds->query.get(), &ds->vorder);

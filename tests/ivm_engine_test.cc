@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +16,8 @@
 #include "src/core/variable_order.h"
 #include "src/core/view_tree.h"
 #include "src/data/relation_ops.h"
+#include "src/exec/parallel_executor.h"
+#include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/rings/ring.h"
 #include "src/util/rng.h"
@@ -444,6 +450,127 @@ INSTANTIATE_TEST_SUITE_P(Sweep, IvmRandomizedTest,
                            return "shape" + std::to_string(info.param.shape) +
                                   "seed" + std::to_string(info.param.seed);
                          });
+
+
+// Every apply is all-or-nothing: a lift that throws mid-propagation leaves
+// every materialized store as it was — the leaf's included, whose delta is
+// staged along with the view deltas rather than absorbed up front — and a
+// retry of the same apply then lands exactly a fault-free twin's state.
+// Q(A) = Σ_{B,C} R(A,B) ⋈ S(B,C); the lift on B runs when the S-delta
+// reaches the view that marginalizes B, after the S leaf's and the C
+// view's store deltas were already computed.
+struct FaultyLiftFixture {
+  Catalog catalog;
+  Query query{&catalog};
+  VarId A, B, C;
+  VariableOrder vo;
+  std::optional<ViewTree> tree;
+  /// The lift on B throws on its N-th call after `fuse` is set to N.
+  std::shared_ptr<std::atomic<int>> fuse =
+      std::make_shared<std::atomic<int>>(0);
+
+  FaultyLiftFixture() {
+    A = catalog.Intern("A");
+    B = catalog.Intern("B");
+    C = catalog.Intern("C");
+    query.AddRelation("R", Schema{A, B});
+    query.AddRelation("S", Schema{B, C});
+    query.SetFreeVars(Schema{A});
+    vo = VariableOrder::Auto(query);
+    tree.emplace(&query, &vo);
+    tree->MaterializeAll();
+  }
+
+  LiftingMap<I64Ring> Lifts() const {
+    LiftingMap<I64Ring> lifts;
+    lifts.Set(B, [f = fuse](const Value&) -> int64_t {
+      if (f->load() > 0 && f->fetch_sub(1) == 1) {
+        throw std::runtime_error("injected lift fault");
+      }
+      return 2;
+    });
+    return lifts;
+  }
+
+  /// An engine over a small R ⋈ S instance (fuse unarmed while loading).
+  std::unique_ptr<IvmEngine<I64Ring>> MakeEngine() const {
+    auto e = std::make_unique<IvmEngine<I64Ring>>(&*tree, Lifts());
+    Database<I64Ring> db = MakeDatabase<I64Ring>(query);
+    for (int64_t i = 0; i < 20; ++i) {
+      db[0].Add(Tuple::Ints({i % 5, i % 4}), 1);
+      db[1].Add(Tuple::Ints({i % 4, i}), 1);
+    }
+    e->Initialize(db);
+    return e;
+  }
+
+  std::vector<Relation<I64Ring>> Stores(const IvmEngine<I64Ring>& e) const {
+    std::vector<Relation<I64Ring>> out;
+    for (size_t i = 0; i < tree->nodes().size(); ++i) {
+      out.push_back(e.store(static_cast<int>(i)));
+    }
+    return out;
+  }
+
+  void ExpectStoresEqual(const std::vector<Relation<I64Ring>>& expect,
+                         const IvmEngine<I64Ring>& e) const {
+    for (size_t i = 0; i < tree->nodes().size(); ++i) {
+      int node = static_cast<int>(i);
+      if (!tree->node(node).materialized) continue;
+      EXPECT_TRUE(ContentEquals(e.store(node), expect[i]))
+          << "store of " << tree->node(node).name << " changed";
+    }
+  }
+};
+
+Relation<I64Ring> SmallSDelta(const Schema& schema) {
+  Relation<I64Ring> d(schema);
+  for (int64_t i = 0; i < 8; ++i) d.Add(Tuple::Ints({i % 4, 100 + i}), 1);
+  return d;
+}
+
+TEST(IvmEngineTest, FaultedApplyLeavesEveryStoreUnchanged) {
+  const std::vector<std::string> kinds = {"batch", "delta", "factorized"};
+  for (const std::string& kind : kinds) {
+    SCOPED_TRACE(kind);
+    FaultyLiftFixture f;
+    auto engine = f.MakeEngine();
+    auto twin = f.MakeEngine();
+    exec::ThreadPool pool(2);
+    exec::ParallelExecutor<I64Ring> executor(
+        engine.get(), &pool,
+        exec::ParallelExecutor<I64Ring>::Options{.shards = 2});
+    const Schema& s_schema = f.query.relation(1).schema;
+    ASSERT_LT(SmallSDelta(s_schema).size(),
+              exec::ParallelExecutor<I64Ring>::kMinParallelKeys);
+    auto apply = [&](IvmEngine<I64Ring>& e) {
+      if (kind == "batch" && &e == engine.get()) {
+        executor.ApplyBatch(1, SmallSDelta(s_schema));
+      } else if (kind == "factorized") {
+        Relation<I64Ring> d_b(Schema{f.B});
+        Relation<I64Ring> d_c(Schema{f.C});
+        for (int64_t i = 0; i < 3; ++i) {
+          d_b.Add(Tuple::Ints({i}), 1);
+          d_c.Add(Tuple::Ints({200 + i}), 1);
+        }
+        e.ApplyFactorizedDelta(1, {d_b, d_c});
+      } else {
+        e.ApplyDelta(1, SmallSDelta(s_schema));
+      }
+    };
+
+    const auto before = f.Stores(*engine);
+    f.fuse->store(2);
+    EXPECT_THROW(apply(*engine), std::runtime_error);
+    EXPECT_EQ(f.fuse->load(), 0) << "the lift fault did not fire";
+    f.ExpectStoresEqual(before, *engine);
+
+    // Retrying the same apply lands exactly the fault-free state.
+    apply(*engine);
+    apply(*twin);
+    EXPECT_TRUE(exec::StoresContentEqual(*engine, *twin));
+  }
+}
 
 }  // namespace
 }  // namespace fivm

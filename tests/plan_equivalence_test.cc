@@ -121,14 +121,16 @@ class SeedInterpreter {
     }
 
     int leaf = tree.LeafOfRelation(relation);
-    if (tree.node(leaf).materialized) e_->AbsorbStoreDelta(leaf, delta);
+    if (tree.node(leaf).materialized) {
+      e_->AbsorbStoreDelta(leaf, Relation<Ring>(delta));
+    }
     PropagateUp(leaf,
                 Reordered(std::move(delta), tree.node(leaf).out_schema));
 
     for (auto& [ind_leaf, ind_delta] : indicator_deltas) {
       if (ind_delta.empty()) continue;
       if (tree.node(ind_leaf).materialized) {
-        e_->AbsorbStoreDelta(ind_leaf, ind_delta);
+        e_->AbsorbStoreDelta(ind_leaf, Relation<Ring>(ind_delta));
       }
       PropagateUp(ind_leaf, std::move(ind_delta));
     }
@@ -169,7 +171,7 @@ class SeedInterpreter {
       if (n.materialized) {
         if (left != &owned) owned = *left;
         held = std::move(owned);
-        e_->AbsorbStoreDelta(idx, held);
+        e_->AbsorbStoreDelta(idx, Relation<Ring>(held));
         left = &held;
       }
       Schema out_marg = n.marg_vars.Intersect(n.retained_vars);
@@ -721,20 +723,13 @@ TEST(PlanEquivalenceTest, PrewarmBuildsExactlyTheProbedIndexes) {
         shard_delta[s].Add(std::move(t), RegressionRing::One());
       }
     }
-    std::vector<std::vector<std::pair<int, Relation<RegressionRing>>>>
-        staged(4);
+    std::vector<IvmEngine<RegressionRing>::StagedDeltas> staged(4);
     std::vector<std::function<void()>> tasks;
     for (size_t s = 0; s < 4; ++s) {
       tasks.push_back([&engine, &plan, &shard_delta, &staged, s] {
         IvmEngine<RegressionRing>::PropagationScratch scratch;
-        engine.PropagateDelta(
-            plan.leaf(), std::move(shard_delta[s]),
-            [&staged, s](int node, Relation<RegressionRing>&& d)
-                -> const Relation<RegressionRing>& {
-              staged[s].emplace_back(node, std::move(d));
-              return staged[s].back().second;
-            },
-            &scratch);
+        engine.PropagateDelta(plan.leaf(), std::move(shard_delta[s]),
+                              &staged[s], &scratch);
       });
     }
     pool.RunTasks(std::move(tasks));

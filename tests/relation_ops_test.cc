@@ -142,13 +142,6 @@ TEST(RelationOpsTest, JoinAndMarginalizeCartesianBranch) {
   EXPECT_EQ(*out.Find(Tuple::Ints({1})), 12);
 }
 
-TEST(RelationOpsTest, MapPayloadsConvertsRing) {
-  auto r = MakeR();
-  auto d = MapPayloads<F64Ring>(r, [](int64_t p) { return p * 0.5; });
-  EXPECT_DOUBLE_EQ(*d.Find(Tuple::Ints({1, 1})), 0.5);
-  EXPECT_DOUBLE_EQ(*d.Find(Tuple::Ints({2, 1})), 1.0);
-}
-
 // Delta rule sanity: δ(V1 ⊗ V2) = (δV1 ⊗ V2) ⊎ (V1 ⊗ δV2) ⊎ (δV1 ⊗ δV2).
 TEST(RelationOpsTest, JoinDeltaRuleHolds) {
   auto r = MakeR();
