@@ -81,8 +81,10 @@ struct LeafObs {
 /// If the tree carries indicator projections (Appendix B), updates to an
 /// indicated relation trigger a second, sequential propagation from each
 /// indicator leaf; per-key support counts (Example B.2) turn base-relation
-/// deltas into indicator deltas. Those counts advance before propagation,
-/// so an apply to an indicated relation is not all-or-nothing.
+/// deltas into indicator deltas. Those counts advance once the base
+/// propagation has succeeded, so a fault there leaves the engine unchanged;
+/// a fault in an indicator propagation does not (the counts and the base
+/// delta are already in).
 template <typename Ring>
 class IvmEngine {
  public:
@@ -142,12 +144,12 @@ class IvmEngine {
   /// the trigger's two phases: propagation stages the delta of every
   /// materialized store on the leaf-to-root path (the leaf's own included),
   /// then AbsorbStaged adds them to the stores; any indicator deltas follow
-  /// the same way, one after the other. Without indicator leaves the apply
-  /// is all-or-nothing: if propagation throws, no store has changed. (An
-  /// indicated relation's support counts advance before propagation, so
-  /// such an apply is not.) The rvalue overload consumes the delta, so a
-  /// freshly built update batch flows into propagation without a
-  /// per-batch deep copy.
+  /// the same way, one after the other. The apply is all-or-nothing: if
+  /// propagation throws, no store and no support count has changed — except
+  /// for a fault in an indicator propagation, which runs after the base
+  /// delta and the support counts are in. The rvalue overload consumes the
+  /// delta, so a freshly built update batch flows into propagation without
+  /// a per-batch deep copy.
   void ApplyDelta(int relation, const Relation<Ring>& delta) {
     const Schema& target =
         tree_->node(tree_->LeafOfRelation(relation)).out_schema;
@@ -171,18 +173,21 @@ class IvmEngine {
       applied_deltas_->Inc();
       applied_tuples_->Add(delta.size());
     }
-    // Indicator deltas are derived from the pre-update base relation.
-    std::vector<std::pair<int, Relation<Ring>>> indicator_deltas;
-    for (int leaf : tree_->IndicatorLeavesOfRelation(relation)) {
-      indicator_deltas.emplace_back(leaf,
-                                    ComputeIndicatorDelta(leaf, delta));
-    }
-
     int leaf = tree_->LeafOfRelation(relation);
     staged_.clear();  // a propagation that threw may have left entries
     PropagateDelta(leaf,
                    Reordered(std::move(delta), tree_->node(leaf).out_schema),
                    &staged_, &seq_scratch_);
+
+    // Indicator deltas are derived from the staged leaf delta and the
+    // pre-update base relation: after the base propagation, so a fault there
+    // leaves the support counts unchanged, and before the absorb.
+    std::vector<std::pair<int, Relation<Ring>>> indicator_deltas;
+    for (int ind_leaf : tree_->IndicatorLeavesOfRelation(relation)) {
+      assert(!staged_.empty() && staged_.front().first == leaf);
+      indicator_deltas.emplace_back(
+          ind_leaf, ComputeIndicatorDelta(ind_leaf, staged_.front().second));
+    }
     AbsorbStaged(staged_);
 
     for (auto& [ind_leaf, ind_delta] : indicator_deltas) {

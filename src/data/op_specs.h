@@ -11,10 +11,10 @@
 
 namespace fivm {
 
-/// Precompiled operator specs: the schema algebra of Join / JoinAndMarginalize
-/// / Marginalize (output schema, position maps, probe strategy, lifted-var
-/// placement) resolved once, so the executing loop never re-derives it per
-/// call. The spec structs are plain data — ring-independent — and are what
+/// Precompiled operator specs: the schema algebra of the fused ⊕_X(· ⊗ ·)
+/// (JoinMargSpec; a plain join is the X = ∅ case) and of ⊕_X (MargSpec) —
+/// output schema, position maps, probe strategy, lifted-var placement —
+/// resolved once, so the executing loop never re-derives it per call. The spec structs are plain data — ring-independent — and are what
 /// the plan layer (src/plan/) strings into compiled propagation plans; the
 /// templated executors live in relation_ops.h.
 ///
@@ -48,10 +48,10 @@ enum class JoinKind : uint8_t {
   kSecondaryProbe,
 };
 
-/// The probe-strategy choice shared by JoinSpec and JoinMargSpec: the ONE
-/// place the join-kind rule lives, so Join and JoinAndMarginalize plans (and
-/// with them the plan layer's secondary-probe prewarm list) can never
-/// diverge.
+/// The probe-strategy choice: the ONE place the join-kind rule lives, read
+/// by JoinMargSpec::Compile and by the engine's choice of a multi-way
+/// full-key evaluation (EvalOut), so execution and the plan layer's
+/// secondary-probe prewarm list can never diverge.
 struct JoinKeyPlan {
   Schema common;  // join key, in left's order
   JoinKind kind = JoinKind::kCartesian;
@@ -75,37 +75,6 @@ inline JoinKeyPlan ClassifyJoin(const Schema& left, const Schema& right) {
   }
   return k;
 }
-
-/// Spec of ⊗ (natural join): left ⊗ right with output schema
-/// left ++ (right \ common).
-struct JoinSpec {
-  Schema left_schema;
-  Schema right_schema;
-  Schema common;      // join key, in left's order
-  Schema out_schema;  // left ++ right-private
-  JoinKind kind = JoinKind::kCartesian;
-  /// Positions of `common` within the left schema (secondary probes).
-  util::SmallVector<uint32_t, 6> left_common;
-  /// Positions of right's private variables within the right schema.
-  util::SmallVector<uint32_t, 6> right_private_pos;
-  /// Full-key probe: positions of the whole right schema within left.
-  util::SmallVector<uint32_t, 6> right_key_pos;
-
-  static JoinSpec Compile(const Schema& left, const Schema& right) {
-    JoinSpec s;
-    s.left_schema = left;
-    s.right_schema = right;
-    JoinKeyPlan k = ClassifyJoin(left, right);
-    s.common = std::move(k.common);
-    s.kind = k.kind;
-    s.left_common = std::move(k.left_common);
-    s.right_key_pos = std::move(k.right_key_pos);
-    Schema right_private = right.Minus(s.common);
-    s.out_schema = left.Union(right_private);
-    s.right_private_pos = right.PositionsOf(right_private);
-    return s;
-  }
-};
 
 /// Spec of the fused ⊕_{marg}(left ⊗ right): join strategy, output-key
 /// assembly and lifted-variable placement resolved once.

@@ -19,23 +19,21 @@ namespace fivm {
 
 /// The three operators of the query language (Section 2): union ⊎, natural
 /// join ⊗, and aggregation-by-marginalization ⊕_X with lifting functions.
-/// Join and marginalization are also provided fused, which is what view-tree
+/// Join and marginalization run fused: ⊕_X(left ⊗ right) is what view-tree
 /// evaluation and delta propagation use to avoid materializing intermediate
-/// join results.
+/// join results, and a plain join is the same operator with X = ∅.
 ///
-/// Every operator comes in two layers:
-///  - a *spec-taking* entry point executing a precompiled JoinSpec /
-///    JoinMargSpec / MargSpec (src/data/op_specs.h) — what the compiled
-///    propagation plans (src/plan/) call, with all schema algebra and
-///    position maps resolved once per plan instead of once per delta;
-///  - the classic schema-deriving overload, now a thin wrapper that compiles
-///    the spec on the fly and dispatches to the same executor, so both paths
-///    share one semantics definition.
+/// Each operator has one executor, an *Into function running a precompiled
+/// JoinMargSpec / MargSpec (src/data/op_specs.h) — what the compiled
+/// propagation plans (src/plan/) call, with all schema algebra and position
+/// maps resolved once per plan instead of once per delta — plus a
+/// schema-deriving convenience that compiles the spec on the fly and calls
+/// that executor, so both share one semantics definition.
 ///
 /// Hot-path discipline: probe keys are TupleViews (no allocation per left
 /// entry), output keys are built in a reused scratch tuple (no allocation
 /// per match; Relation::Add copies the key only when it creates a new
-/// entry), and expiring inputs are consumed by move. The *Into variants
+/// entry), and expiring inputs are consumed by move. The *Into executors
 /// additionally reuse the output relation's entry and index capacity across
 /// calls (plan scratch slots).
 
@@ -89,14 +87,6 @@ void MarginalizeInto(Relation<Ring>& out, const Relation<Ring>& rel,
   });
 }
 
-template <typename Ring>
-Relation<Ring> Marginalize(const Relation<Ring>& rel, const MargSpec& spec,
-                           const LiftingMap<Ring>& lifts) {
-  Relation<Ring> out(spec.out_schema);
-  MarginalizeInto(out, rel, spec, lifts);
-  return out;
-}
-
 /// ⊕: marginalizes the variables `marg` out of `rel`, lifting each
 /// marginalized value via `lifts` and multiplying it into the payload.
 /// Output schema is rel.schema \ marg.
@@ -105,11 +95,11 @@ Relation<Ring> Marginalize(const Relation<Ring>& rel, const Schema& marg,
                            const LiftingMap<Ring>& lifts) {
   // Raw lambda, not TrivialityOf: the on-the-fly wrapper is a hot path and
   // must not pay std::function type erasure per call.
-  return Marginalize(rel,
-                     MargSpec::Compile(
-                         rel.schema(), marg,
-                         [&lifts](VarId v) { return lifts.IsTrivial(v); }),
-                     lifts);
+  const MargSpec spec = MargSpec::Compile(
+      rel.schema(), marg, [&lifts](VarId v) { return lifts.IsTrivial(v); });
+  Relation<Ring> out(spec.out_schema);
+  MarginalizeInto(out, rel, spec, lifts);
+  return out;
 }
 
 /// One right side of a full-key join: `rel` probed through its primary
@@ -228,85 +218,6 @@ void FullKeyJoinAndMarginalizeInto(Relation<Ring>& out,
       });
 }
 
-/// ⊗ with a precompiled spec, appending into `out`.
-template <typename Ring>
-void JoinInto(Relation<Ring>& out, const Relation<Ring>& left,
-              const Relation<Ring>& right, const JoinSpec& spec) {
-  using Element = typename Ring::Element;
-  assert(left.schema() == spec.left_schema);
-  assert(right.schema() == spec.right_schema);
-  assert(out.schema() == spec.out_schema);
-
-  // Product into a reused scratch element (no allocation steady-state);
-  // Add copies it into the pool only for new keys.
-  Element mul_scratch;
-  Tuple scratch;
-  auto emit = [&](const Tuple& lk, const Element& lp, const Tuple& rk,
-                  const Element& rp) {
-    scratch = lk;  // memcpy of values + cached hash; no re-fold of the prefix
-    for (auto p : spec.right_private_pos) scratch.Append(rk[p]);
-    RingMulInto<Ring>(mul_scratch, lp, rp);
-    out.Add(scratch, mul_scratch);
-  };
-
-  switch (spec.kind) {
-    case JoinKind::kCartesian:
-      left.ForEach([&](const Tuple& lk, const Element& lp) {
-        right.ForEach(
-            [&](const Tuple& rk, const Element& rp) { emit(lk, lp, rk, rp); });
-      });
-      return;
-    case JoinKind::kFullKeyPrimary:
-      // The join key covers the whole right schema: at most one match per
-      // left entry, found through right's primary index (pipelined — see
-      // ForEachFullKeyMatch). No secondary index is built (or maintained
-      // by later absorbs into `right`), and the output schema equals
-      // left's, so keys pass through unchanged.
-      out.Reserve(left.size());
-      {
-        const FullKeyProbe<Ring> probe{&right, &spec.right_key_pos};
-        ForEachFullKeyMatch(
-            left, &probe, 1,
-            [&](const Tuple& lk, const Element& lp, const Element* const* rp) {
-              RingMulInto<Ring>(mul_scratch, lp, *rp[0]);
-              out.Add(lk, mul_scratch);
-            });
-      }
-      return;
-    case JoinKind::kSecondaryProbe: {
-      const auto& right_index = right.IndexOn(spec.common);
-      left.ForEach([&](const Tuple& lk, const Element& lp) {
-        const auto* slots = right_index.Probe(TupleView(lk, spec.left_common));
-        if (slots == nullptr) return;
-        for (uint32_t slot : *slots) {
-          const Element& rp = right.PayloadAt(slot);
-          if (Ring::IsZero(rp)) continue;
-          emit(lk, lp, right.KeyAt(slot), rp);
-        }
-      });
-      return;
-    }
-  }
-}
-
-template <typename Ring>
-Relation<Ring> Join(const Relation<Ring>& left, const Relation<Ring>& right,
-                    const JoinSpec& spec) {
-  Relation<Ring> out(spec.out_schema);
-  JoinInto(out, left, right, spec);
-  return out;
-}
-
-/// ⊗: natural join of `left` and `right` on their common variables. Output
-/// schema is left.schema followed by right's private variables. Payload of a
-/// match is Mul(left payload, right payload) — note the order, which matters
-/// for non-commutative rings (e.g. the relational data ring concatenates
-/// payload schemas left-to-right).
-template <typename Ring>
-Relation<Ring> Join(const Relation<Ring>& left, const Relation<Ring>& right) {
-  return Join(left, right, JoinSpec::Compile(left.schema(), right.schema()));
-}
-
 /// Fused ⊕_{marg}(left ⊗ right) with a precompiled spec, appending into
 /// `out`. This is the inner loop of compiled delta propagation.
 template <typename Ring>
@@ -365,6 +276,15 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
     }
     case JoinKind::kSecondaryProbe: {
       const auto& right_index = right.IndexOn(spec.common);
+      // The left.size() floor (match fan-out grows beyond it) is reserved at
+      // the first matching left entry, not up front, so a join with no
+      // matches allocates nothing.
+      bool reserved = false;
+      auto reserve_floor = [&] {
+        if (reserved) return;
+        out.Reserve(left.size());
+        reserved = true;
+      };
       if (spec.left_only_key) {
         // When every output variable comes from the left side (all of the
         // right side is joined away), the output key is fixed per left
@@ -373,7 +293,6 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
         // The fold accumulator is hoisted like the term scratch: its
         // buffer survives across left entries, keeping the steady state
         // allocation-free.
-        out.Reserve(left.size());
         Element acc = Ring::Zero();
         left.ForEach([&](const Tuple& lk, const Element& lp) {
           const auto* slots =
@@ -391,35 +310,26 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
             }
           }
           if (!have) return;
+          reserve_floor();
           scratch.Clear();
           for (const auto& src : spec.out_src) scratch.Append(lk[src.pos]);
           out.Add(scratch, acc);  // const ref: hit path copies nothing
         });
         return;
       }
-      out.Reserve(left.size());  // floor; match fan-out grows beyond it
       left.ForEach([&](const Tuple& lk, const Element& lp) {
         const auto* slots = right_index.Probe(TupleView(lk, spec.left_common));
         if (slots == nullptr) return;
         for (uint32_t slot : *slots) {
           const Element& rp = right.PayloadAt(slot);
           if (Ring::IsZero(rp)) continue;
+          reserve_floor();
           emit(lk, lp, right.KeyAt(slot), rp);
         }
       });
       return;
     }
   }
-}
-
-template <typename Ring>
-Relation<Ring> JoinAndMarginalize(const Relation<Ring>& left,
-                                  const Relation<Ring>& right,
-                                  const JoinMargSpec& spec,
-                                  const LiftingMap<Ring>& lifts) {
-  Relation<Ring> out(spec.out_schema);
-  JoinAndMarginalizeInto(out, left, right, spec, lifts);
-  return out;
 }
 
 /// Fused ⊕_{marg}(left ⊗ right): joins and immediately marginalizes, never
@@ -430,11 +340,22 @@ Relation<Ring> JoinAndMarginalize(const Relation<Ring>& left,
                                   const Relation<Ring>& right,
                                   const Schema& marg,
                                   const LiftingMap<Ring>& lifts) {
-  return JoinAndMarginalize(
-      left, right,
+  const JoinMargSpec spec =
       JoinMargSpec::Compile(left.schema(), right.schema(), marg,
-                            [&lifts](VarId v) { return lifts.IsTrivial(v); }),
-      lifts);
+                            [&lifts](VarId v) { return lifts.IsTrivial(v); });
+  Relation<Ring> out(spec.out_schema);
+  JoinAndMarginalizeInto(out, left, right, spec, lifts);
+  return out;
+}
+
+/// ⊗: natural join of `left` and `right` on their common variables, i.e.
+/// ⊕_∅(left ⊗ right) with no lifts. Output schema is left.schema followed by
+/// right's private variables. Payload of a match is Mul(left payload, right
+/// payload) — note the order, which matters for non-commutative rings (e.g.
+/// the relational data ring concatenates payload schemas left-to-right).
+template <typename Ring>
+Relation<Ring> Join(const Relation<Ring>& left, const Relation<Ring>& right) {
+  return JoinAndMarginalize(left, right, Schema{}, LiftingMap<Ring>{});
 }
 
 /// Returns `rel` with keys re-projected to `target`'s column layout

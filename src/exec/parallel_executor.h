@@ -40,12 +40,14 @@ namespace fivm::exec {
 /// too small to amortize the fork/merge overhead.
 ///
 /// ApplyBatch is all-or-nothing with respect to engine state on both
-/// paths, for relations without indicator leaves: every store delta — the
-/// leaf's included — is staged (in worker-local lists here, in the
-/// engine's own list on the sequential path) and absorbed through
-/// IvmEngine::AbsorbStaged only after propagation completed, so an
-/// exception thrown by a worker task (see the "exec.task" failpoint) or by
-/// a propagation step propagates out of ApplyBatch with no store modified.
+/// paths: every store delta — the leaf's included — is staged (in
+/// worker-local lists here, in the engine's own list on the sequential
+/// path) and absorbed through IvmEngine::AbsorbStaged only after
+/// propagation completed, so an exception thrown by a worker task (see the
+/// "exec.task" failpoint) or by a propagation step propagates out of
+/// ApplyBatch with no store modified. The one exception is a fault in an
+/// indicator propagation, which runs after the base delta and the support
+/// counts are in (IvmEngine::ApplyDelta).
 template <typename Ring>
   requires RingPolicy<Ring>
 class ParallelExecutor {

@@ -31,10 +31,9 @@
 //    failpoints sit before any state change; every apply, parallel or
 //    sequential, stages its store deltas and writes them through
 //    IvmEngine::AbsorbStaged only after propagation succeeded), so a retry
-//    can never double-apply. One exception: an apply to a relation with
-//    indicator leaves advances the indicator support counts first and
-//    absorbs the base delta before the indicator propagation runs, so a
-//    fault there is not rolled back and a retry applies it again.
+//    can never double-apply. One exception: a fault in an indicator
+//    propagation, which runs after the base delta and the indicator support
+//    counts are in, is not rolled back, and a retry applies them again.
 //    ApplyBatch consumes its delta, so every attempt but the last applies
 //    a copy. An absorbed publish failure leaves the segments staged for
 //    the next flush's publish — visibility delayed, never lost. Merges are
@@ -594,8 +593,8 @@ class IngestService {
       for (auto& b : batches) {
         // ApplyBatch consumes its delta but is all-or-nothing with respect
         // to engine state (and the publish hook never throws), so retrying
-        // from the retained original cannot double-apply (indicator leaves
-        // aside; see the header comment).
+        // from the retained original cannot double-apply (a fault in an
+        // indicator propagation aside; see the header comment).
         Supervise(
             &IngestStats::apply_retries,
             [&](bool last) {

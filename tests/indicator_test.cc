@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/core/gyo.h"
 #include "src/core/ivm_engine.h"
 #include "src/core/query.h"
@@ -222,6 +224,63 @@ TEST(IndicatorTest, SupportCountingSemantics) {
   // Delete the last copy: the triangle disappears.
   engine.ApplyDelta(0, del);
   EXPECT_EQ(engine.result().Find(Tuple()), nullptr);
+}
+
+// A fault in the base propagation of an update to an indicated relation
+// leaves the support counts where they were: a retry of the same apply then
+// lands exactly where a fault-free apply does, and so does a later
+// retraction (which would miss its -1 if the counts had advanced twice).
+TEST(IndicatorTest, RetryAfterBasePropagationFaultMatchesFaultFree) {
+  TriangleFixture f;
+  ViewTree tree(&f.query, &f.vo);
+  ASSERT_EQ(tree.AddIndicatorProjections(), 1);
+  tree.MaterializeAll();
+  int fuse = 0;  // the lift on B throws on its fuse-th call once armed
+  LiftingMap<I64Ring> lifts;
+  lifts.Set(f.B, [&fuse](const Value&) -> int64_t {
+    if (fuse > 0 && --fuse == 0) throw std::runtime_error("injected fault");
+    return 1;
+  });
+  IvmEngine<I64Ring> engine(&tree, lifts);
+  IvmEngine<I64Ring> twin(&tree, lifts);
+
+  Database<I64Ring> db = MakeDatabase<I64Ring>(f.query);
+  db[0].Add(Tuple::Ints({1, 2}), 1);  // triangle (1, 2, 3)
+  db[1].Add(Tuple::Ints({2, 3}), 1);
+  db[2].Add(Tuple::Ints({3, 1}), 1);
+  db[1].Add(Tuple::Ints({5, 6}), 1);  // R(4, 5) would close (4, 5, 6)
+  db[2].Add(Tuple::Ints({6, 4}), 1);
+  engine.Initialize(db);
+  twin.Initialize(db);
+
+  // (1, 2) already has support, so the base propagation matches it and
+  // calls the lift; (4, 5) is new and turns ∃R(4, 5) on.
+  Relation<I64Ring> delta(Schema{f.A, f.B});
+  delta.Add(Tuple::Ints({1, 2}), 1);
+  delta.Add(Tuple::Ints({4, 5}), 1);
+  fuse = 1;
+  EXPECT_THROW(engine.ApplyDelta(0, delta), std::runtime_error);
+  ASSERT_EQ(fuse, 0) << "the lift fault did not fire";
+
+  auto expect_same = [&] {
+    for (size_t i = 0; i < tree.nodes().size(); ++i) {
+      int node = static_cast<int>(i);
+      if (!tree.node(node).materialized) continue;
+      EXPECT_TRUE(ContentEquals(engine.store(node), twin.store(node)))
+          << "store of " << tree.node(node).name << " differs";
+    }
+  };
+  engine.ApplyDelta(0, delta);
+  twin.ApplyDelta(0, delta);
+  expect_same();
+  EXPECT_EQ(*twin.result().Find(Tuple()), 3);
+
+  Relation<I64Ring> retract(Schema{f.A, f.B});
+  retract.Add(Tuple::Ints({4, 5}), -1);
+  engine.ApplyDelta(0, retract);
+  twin.ApplyDelta(0, retract);
+  expect_same();
+  EXPECT_EQ(*twin.result().Find(Tuple()), 2);
 }
 
 }  // namespace

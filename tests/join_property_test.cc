@@ -1,6 +1,6 @@
-// Randomized property test: the view-based (TupleView + secondary-index)
-// fast path of Join / JoinAndMarginalize must be key-for-key equal to a
-// naive nested-loop reference, including in the presence of tombstoned
+// Randomized property test: the view-based (TupleView + secondary- or
+// primary-index) fast paths of Join / JoinAndMarginalize must be key-for-key
+// equal to a naive nested-loop reference, including in the presence of tombstoned
 // entries inside index buckets and duplicate-prefix buckets (many entries
 // sharing the join key).
 
@@ -107,6 +107,25 @@ TEST(JoinPropertyTest, JoinOnCompositeKeyMatchesNaive) {
     Rel right =
         RandomRelation(Schema{1, 2, 3}, Schema{1, 2}, cfg, cfg.right_size,
                        rng);
+    ExpectSameRelation(Join(left, right), NaiveJoin(left, right));
+  }
+}
+
+// Full-key join: right's schema is a permuted subset of left's, so every
+// left entry has at most one partner, found through right's primary index.
+TEST(JoinPropertyTest, FullKeyJoinOnPermutedSubsetMatchesNaive) {
+  util::Rng rng(7006);
+  for (int round = 0; round < 25; ++round) {
+    RandomConfig cfg{
+        static_cast<size_t>(rng.UniformInt(0, 120)),
+        static_cast<size_t>(rng.UniformInt(0, 40)),
+        rng.UniformInt(2, 6),
+        round % 2 == 0 ? 0.3 : 0.0,
+    };
+    Rel left =
+        RandomRelation(Schema{0, 1, 2}, Schema{}, cfg, cfg.left_size, rng);
+    Rel right = RandomRelation(Schema{2, 0}, Schema{}, cfg, cfg.right_size,
+                               rng);
     ExpectSameRelation(Join(left, right), NaiveJoin(left, right));
   }
 }

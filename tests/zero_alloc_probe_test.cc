@@ -19,6 +19,7 @@
 #include "src/data/relation_ops.h"
 #include "src/obs/metrics.h"
 #include "src/serve/snapshot_server.h"
+#include "src/rings/lifting.h"
 #include "src/rings/ring.h"
 #include "src/util/memory_tracker.h"
 #include "src/util/rng.h"
@@ -134,6 +135,31 @@ TEST(ZeroAllocProbeTest, JoinWithNoMatchesAllocatesNothing) {
   int64_t after = util::MemoryTracker::AllocationCount();
   EXPECT_EQ(after - before, 0);
   EXPECT_TRUE(out.empty());
+}
+
+// The same no-match join through the fused ⊕_{1}(left ⊗ right), a
+// secondary probe with a lifted marginalized variable: the output floor is
+// reserved at the first match, so a join that never matches allocates
+// nothing.
+TEST(ZeroAllocProbeTest, JoinAndMarginalizeWithNoMatchesAllocatesNothing) {
+  Relation<I64Ring> right(Schema{1, 2});
+  for (int64_t i = 0; i < 20000; ++i) {
+    right.Add(Tuple::Ints({i, i}), 1);
+  }
+  Relation<I64Ring> left(Schema{0, 1});
+  for (int64_t i = 0; i < 1024; ++i) {
+    left.Add(Tuple::Ints({i, 1000000 + i}), 1);  // disjoint join keys
+  }
+  right.IndexOn(Schema{1});  // pre-built, as in steady-state maintenance
+  LiftingMap<I64Ring> lifts;
+  lifts.Set(1, [](const Value& x) { return x.AsInt(); });
+
+  int64_t before = util::MemoryTracker::AllocationCount();
+  auto out = JoinAndMarginalize(left, right, Schema{1}, lifts);
+  int64_t after = util::MemoryTracker::AllocationCount();
+  EXPECT_EQ(after - before, 0);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.schema(), (Schema{0, 2}));
 }
 
 // The SwissTable group-probe path (control-byte scan + H2 tag match before
