@@ -107,6 +107,10 @@ struct JoinMargSpec {
   /// Every output variable comes from the left side: the whole match set of
   /// a left entry folds into a single ring accumulation.
   bool left_only_key = false;
+  /// out_src begins with the whole left key in order: an output key starts
+  /// as a copy of the left key, cached hash included, instead of being
+  /// re-folded value by value.
+  bool out_extends_left = false;
 
   template <typename TrivialFn>
   static JoinMargSpec Compile(const Schema& left, const Schema& right,
@@ -151,6 +155,10 @@ struct JoinMargSpec {
     s.left_only_key = true;
     for (const Source& src : s.out_src) {
       s.left_only_key = s.left_only_key && src.from_left;
+    }
+    s.out_extends_left = s.out_src.size() >= left.size();
+    for (uint32_t i = 0; s.out_extends_left && i < left.size(); ++i) {
+      s.out_extends_left = s.out_src[i].from_left && s.out_src[i].pos == i;
     }
     return s;
   }

@@ -28,7 +28,7 @@ namespace fivm {
 /// `payloads_[i]` — two parallel arrays with a stable 1:1 slot mapping.
 /// The split exists for the payload-heavy passes: zero-sweeps, absorb
 /// merges, and ring accumulation stream the payload pool without dragging
-/// ~80-byte tuple keys through cache, and the wide-double ring kernels
+/// 64-byte tuple keys through cache, and the wide-double ring kernels
 /// (src/util/simd.h) then run over contiguous payload storage. Index probes
 /// conversely touch only the key array until a hit needs its payload.
 ///
@@ -366,8 +366,8 @@ class Relation {
   }
 
   /// Pool storage retained across Reset, as a byte budget (payloads are
-  /// ring-dependent and keys ~80 bytes, so the bound is on bytes, not
-  /// counts).
+  /// ring-dependent and keys 64 bytes, so the bound is on bytes, not
+  /// counts; it keeps about 3.6k I64Ring entries of 64 + 8 bytes).
   static constexpr size_t kResetKeepEntryBytes = size_t{1} << 18;  // 256 KB
 
   /// Empties the relation and retargets it to `schema`, keeping the pool
@@ -473,7 +473,7 @@ class Relation {
     bytes += payloads_.capacity() * sizeof(Element);
     for (const Element& p : payloads_) bytes += Ring::ApproxBytes(p);
     for (const Tuple& k : keys_) {
-      if (k.size() > 4) bytes += k.size() * sizeof(Value);
+      if (k.size() > Tuple::kInlineValues) bytes += k.size() * sizeof(Value);
     }
     return bytes;
   }

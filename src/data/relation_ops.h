@@ -102,6 +102,25 @@ Relation<Ring> Marginalize(const Relation<Ring>& rel, const Schema& marg,
   return out;
 }
 
+/// Writes the output key of a (left, right) match into `scratch`, which
+/// keeps its capacity across calls. When the output key begins with the
+/// whole left key, that prefix is copied with its cached hash and only the
+/// remaining values are hashed in. Left-only specs may pass `lk` as `rk`.
+inline void AssembleOutKey(Tuple& scratch, const JoinMargSpec& spec,
+                           const Tuple& lk, const Tuple& rk) {
+  size_t i = 0;
+  if (spec.out_extends_left) {
+    scratch = lk;
+    i = lk.size();
+  } else {
+    scratch.Clear();
+  }
+  for (; i < spec.out_src.size(); ++i) {
+    const JoinMargSpec::Source& src = spec.out_src[i];
+    scratch.Append(src.from_left ? lk[src.pos] : rk[src.pos]);
+  }
+}
+
 /// One right side of a full-key join: `rel` probed through its primary
 /// index with the values at `key_pos` of each left key (the positions of
 /// rel's whole schema within the left schema). Both pointers are borrowed.
@@ -212,8 +231,7 @@ void FullKeyJoinAndMarginalizeInto(Relation<Ring>& out,
           RingMulInto<Ring>(tmp, acc, lifts.Lift(var, lk[src.pos]));
           std::swap(acc, tmp);
         }
-        scratch.Clear();
-        for (const auto& src : spec.out_src) scratch.Append(lk[src.pos]);
+        AssembleOutKey(scratch, spec, lk, lk);
         out.Add(scratch, acc);
       });
 }
@@ -251,10 +269,7 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
   Tuple scratch;
   auto emit = [&](const Tuple& lk, const Element& lp, const Tuple& rk,
                   const Element& rp) {
-    scratch.Clear();
-    for (const auto& src : spec.out_src) {
-      scratch.Append(src.from_left ? lk[src.pos] : rk[src.pos]);
-    }
+    AssembleOutKey(scratch, spec, lk, rk);
     out.Add(scratch, term(lk, lp, rk, rp));
   };
 
@@ -311,8 +326,7 @@ void JoinAndMarginalizeInto(Relation<Ring>& out, const Relation<Ring>& left,
           }
           if (!have) return;
           reserve_floor();
-          scratch.Clear();
-          for (const auto& src : spec.out_src) scratch.Append(lk[src.pos]);
+          AssembleOutKey(scratch, spec, lk, lk);
           out.Add(scratch, acc);  // const ref: hit path copies nothing
         });
         return;

@@ -1,6 +1,7 @@
 #ifndef FIVM_DATA_TUPLE_H_
 #define FIVM_DATA_TUPLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -20,16 +21,40 @@ namespace fivm {
 /// inserts never re-scan the values. The invariant "hash_ == fold over
 /// values_" holds at all times; there is deliberately no mutable access to
 /// individual values.
+///
+/// Layout: up to kInlineValues values live inline, so a key of at most
+/// three values costs no heap allocation and the whole Tuple (values,
+/// 8-byte SmallVector header, cached hash) is one 64-byte cache line. Wider
+/// keys spill their values to the heap.
 class Tuple {
  public:
+  static constexpr size_t kInlineValues = 3;
+  using Values = util::SmallVector<Value, kInlineValues>;
+
   Tuple() = default;
 
   Tuple(std::initializer_list<Value> vals) : values_(vals) {
     hash_ = FoldHash(kHashSeed, values_.begin(), values_.end());
   }
 
-  explicit Tuple(util::SmallVector<Value, 4> vals) : values_(std::move(vals)) {
+  explicit Tuple(Values vals) : values_(std::move(vals)) {
     hash_ = FoldHash(kHashSeed, values_.begin(), values_.end());
+  }
+
+  Tuple(const Tuple&) = default;
+  Tuple& operator=(const Tuple&) = default;
+
+  /// Moves leave the source the empty tuple, hash included, so a moved-from
+  /// key is as reusable as a cleared one.
+  Tuple(Tuple&& o) noexcept : values_(std::move(o.values_)), hash_(o.hash_) {
+    o.hash_ = kHashSeed;
+  }
+  Tuple& operator=(Tuple&& o) noexcept {
+    if (this == &o) return *this;
+    values_ = std::move(o.values_);
+    hash_ = o.hash_;
+    o.hash_ = kHashSeed;
+    return *this;
   }
 
   /// Convenience constructor for all-integer keys (tests, examples).
@@ -48,8 +73,8 @@ class Tuple {
   const Value& operator[](size_t i) const { return values_[i]; }
 
   void Append(const Value& v) {
+    hash_ = util::HashCombine(hash_, v.Hash());  // `v` may be one of ours
     values_.push_back(v);
-    hash_ = util::HashCombine(hash_, v.Hash());
   }
 
   /// Resets to the empty tuple, keeping any allocated capacity. This is what
@@ -106,9 +131,11 @@ class Tuple {
     return h;
   }
 
-  util::SmallVector<Value, 4> values_;
+  Values values_;
   uint64_t hash_ = kHashSeed;
 };
+
+static_assert(sizeof(Tuple) == 64, "a Tuple key is one 64-byte cache line");
 
 /// A non-owning projection of a borrowed Tuple: a position list applied
 /// lazily to a base tuple. Hashes and compares exactly like the owning

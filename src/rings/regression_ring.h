@@ -53,7 +53,8 @@ class RegressionPayload {
   /// SoA entry pool + MulInto scratch chaining (PR 5) made the steady
   /// state allocation-free regardless, and re-measurement on that layout
   /// inverted the tradeoff: N=2 shrinks every payload-pool slot 112 → 56
-  /// bytes, which the zero-sweeps, absorbs and point-lookup walks all feel
+  /// bytes (40 since SmallVector's header is 8 bytes), which the
+  /// zero-sweeps, absorbs and point-lookup walks all feel
   /// (fig13 F-IVM store 22.8 → 15.7 MB with regression arms 1.2-1.9×
   /// faster; fig7 ~1.08× and 11.4 → 9.3 MB — interleaved medians, see
   /// ROADMAP PR 5 entry).

@@ -80,7 +80,7 @@ class PayloadRelation {
   size_t ApproxBytes() const {
     size_t bytes = sizeof(*this) + rows_.ApproxBytes();
     rows_.ForEach([&](const Tuple& t, const int64_t&) {
-      if (t.size() > 4) bytes += t.size() * sizeof(Value);
+      if (t.size() > Tuple::kInlineValues) bytes += t.size() * sizeof(Value);
     });
     return bytes;
   }

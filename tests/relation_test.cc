@@ -147,5 +147,16 @@ TEST(RelationTest, ApproxBytesGrows) {
   EXPECT_GT(r.ApproxBytes(), before);
 }
 
+// Keys wider than Tuple::kInlineValues keep their values on the heap, and
+// ApproxBytes counts them: a 4-value key costs 4 values more than a 3-value
+// one in an otherwise identical relation.
+TEST(RelationTest, ApproxBytesCountsSpilledFourValueKeys) {
+  Relation<I64Ring> r3(Schema{0, 1, 2});
+  Relation<I64Ring> r4(Schema{0, 1, 2, 3});
+  r3.Add(Tuple::Ints({1, 2, 3}), 1);
+  r4.Add(Tuple::Ints({1, 2, 3, 4}), 1);
+  EXPECT_EQ(r4.ApproxBytes() - r3.ApproxBytes(), 4 * sizeof(Value));
+}
+
 }  // namespace
 }  // namespace fivm

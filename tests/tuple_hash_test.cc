@@ -42,7 +42,7 @@ TEST(TupleHashTest, ConstructorsAgreeWithAppend) {
   b.Append(Value::Int(1));
   b.Append(Value::Double(2.5));
   b.Append(Value::Int(-3));
-  util::SmallVector<Value, 4> vals;
+  Tuple::Values vals;
   vals.push_back(Value::Int(1));
   vals.push_back(Value::Double(2.5));
   vals.push_back(Value::Int(-3));

@@ -106,5 +106,71 @@ TEST(TupleTest, LexicographicOrder) {
   EXPECT_LT(Tuple::Ints({1}), Tuple::Ints({1, 0}));
 }
 
+// Keys of up to Tuple::kInlineValues values stay inline; one more spills
+// to the heap with values and cached hash intact.
+TEST(TupleTest, FourthValueSpillsAndKeepsValuesAndHash) {
+  Tuple t = Tuple::Ints({1, 2, 3});
+  const Value* inline_values = t.begin();
+  t.Append(Value::Int(4));
+  EXPECT_NE(t.begin(), inline_values);
+  EXPECT_EQ(t, Tuple::Ints({1, 2, 3, 4}));
+  EXPECT_EQ(t.Hash(), Tuple::Ints({1, 2, 3, 4}).Hash());
+  EXPECT_EQ(t.Hash(), (Tuple{Value::Int(1), Value::Int(2), Value::Int(3),
+                             Value::Int(4)})
+                          .Hash());
+}
+
+// A tuple can append one of its own values, also when that spills it.
+TEST(TupleTest, AppendingOwnValueWhileFullKeepsValueAndHash) {
+  Tuple t = Tuple::Ints({1, 2, 3});
+  t.Append(t[0]);
+  EXPECT_EQ(t, Tuple::Ints({1, 2, 3, 1}));
+  EXPECT_EQ(t.Hash(), Tuple::Ints({1, 2, 3, 1}).Hash());
+}
+
+TEST(TupleTest, CopyLeavesInlineAndHeapSourcesIntact) {
+  for (const Tuple& src : {Tuple::Ints({1, 2}), Tuple::Ints({1, 2, 3, 4, 5})}) {
+    Tuple copy(src);
+    Tuple assigned = Tuple::Ints({9, 9, 9, 9});
+    assigned = src;
+    EXPECT_EQ(copy, src);
+    EXPECT_EQ(assigned, src);
+    EXPECT_EQ(assigned.Hash(), src.Hash());
+  }
+}
+
+// A moved-from tuple is the empty tuple, hash included, and can be refilled.
+TEST(TupleTest, MoveLeavesInlineAndHeapSourcesEmptyAndReusable) {
+  for (const Tuple& original :
+       {Tuple::Ints({1, 2}), Tuple::Ints({1, 2, 3, 4, 5})}) {
+    Tuple src = original;
+    Tuple moved(std::move(src));
+    EXPECT_EQ(moved, original);
+    EXPECT_EQ(src, Tuple());
+    src.Append(Value::Int(7));
+    EXPECT_EQ(src, Tuple::Ints({7}));
+
+    Tuple assigned = Tuple::Ints({9, 9, 9, 9});
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, original);
+    EXPECT_EQ(moved, Tuple());
+    moved.Append(Value::Int(8));
+    EXPECT_EQ(moved, Tuple::Ints({8}));
+  }
+}
+
+TEST(TupleTest, SelfAssignmentKeepsContentsAndHash) {
+  for (const Tuple& original :
+       {Tuple::Ints({1, 2}), Tuple::Ints({1, 2, 3, 4, 5})}) {
+    Tuple t = original;
+    Tuple& alias = t;
+    t = alias;
+    EXPECT_EQ(t, original);
+    t = std::move(alias);
+    EXPECT_EQ(t, original);
+    EXPECT_EQ(t.Hash(), original.Hash());
+  }
+}
+
 }  // namespace
 }  // namespace fivm

@@ -46,8 +46,8 @@ TEST(ZeroAllocProbeTest, HooksAreLinked) {
 }
 
 // The raw probe sequence of the Join inner loop — view construction, index
-// probe, slot walk, payload test — allocates nothing, for small (<=4 value)
-// keys and misses alike.
+// probe, slot walk, payload test — allocates nothing, for inline (at most
+// Tuple::kInlineValues values) keys and misses alike.
 TEST(ZeroAllocProbeTest, SecondaryIndexProbeIsAllocationFree) {
   util::Rng rng(91);
   auto right = RandomRelation(Schema{1, 2}, 50000, 1 << 8, rng);
@@ -114,6 +114,27 @@ TEST(ZeroAllocProbeTest, PrimaryIndexViewFindIsAllocationFree) {
   int64_t after = util::MemoryTracker::AllocationCount();
   EXPECT_EQ(after - before, 0);
   EXPECT_GT(hits, 0);
+}
+
+// Building a key of Tuple::kInlineValues values in a reused scratch tuple
+// and adding it to a relation that already holds it (the hit path of every
+// emit loop) allocates nothing: the values stay inline and Add copies the
+// key only when it creates an entry.
+TEST(ZeroAllocProbeTest, ThreeValueScratchKeyAndAddHitAllocateNothing) {
+  Relation<I64Ring> rel(Schema{0, 1, 2});
+  for (int64_t i = 0; i < 1024; ++i) rel.Add(Tuple::Ints({i, i + 1, i + 2}), 1);
+
+  Tuple scratch;
+  int64_t before = util::MemoryTracker::AllocationCount();
+  for (int64_t i = 0; i < 1024; ++i) {
+    scratch.Clear();
+    for (int64_t c = 0; c < 3; ++c) scratch.Append(Value::Int(i + c));
+    rel.Add(scratch, 1);
+  }
+  int64_t after = util::MemoryTracker::AllocationCount();
+  EXPECT_EQ(after - before, 0);
+  EXPECT_EQ(rel.size(), 1024u);
+  EXPECT_EQ(*rel.Find(Tuple::Ints({5, 6, 7})), 2);
 }
 
 // A full Join whose probes all miss allocates nothing at all: the probe
