@@ -4,8 +4,10 @@
 // ratio is pure kernel throughput). BM_RingAdd/BM_RingMul time the payload
 // algebra the fig7 regression workloads spend their cycles in;
 // BM_PayloadSweep times a relation-level absorb over the SoA payload pool
-// (the store-merge pass of delta propagation). Run via bench/run_benches.sh,
-// which lands the JSON in BENCH_PR5.json.
+// (the store-merge pass of delta propagation). BM_RegressionLift and the
+// BM_RelationalRing* rows time lifting and relational-ring payload algebra,
+// which have no SIMD arm. Run via bench/run_benches.sh, which lands the JSON
+// in BENCH_PR5.json.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 #include "src/data/schema.h"
 #include "src/data/tuple.h"
 #include "src/rings/regression_ring.h"
+#include "src/rings/relational_ring.h"
 #include "src/rings/sparse_regression_ring.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
@@ -178,6 +181,44 @@ BENCHMARK(BM_PayloadSweep)
     ->Args({2, 0})->Args({2, 1})
     ->Args({8, 0})->Args({8, 1})
     ->Args({21, 0})->Args({21, 1});
+
+// --- Lifting and relational-ring payloads (no dispatch arm) -------------
+
+void BM_RegressionLift(benchmark::State& state) {
+  double x = 3.25;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RegressionPayload::Lift(7, x));
+  }
+}
+BENCHMARK(BM_RegressionLift);
+
+void BM_RelationalRingCartesian(benchmark::State& state) {
+  int64_t n = state.range(0);
+  PayloadRelation a, b;
+  for (int64_t i = 0; i < n; ++i) {
+    a = Add(a, PayloadRelation::Singleton(0, Value::Int(i)));
+    b = Add(b, PayloadRelation::Singleton(1, Value::Int(i)));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Mul(a, b));
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_RelationalRingCartesian)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_RelationalRingUnion(benchmark::State& state) {
+  int64_t n = state.range(0);
+  util::Rng rng(3);
+  PayloadRelation a, b;
+  for (int64_t i = 0; i < n; ++i) {
+    a = Add(a, PayloadRelation::Singleton(0, Value::Int(rng.UniformInt(0, n))));
+    b = Add(b, PayloadRelation::Singleton(0, Value::Int(rng.UniformInt(0, n))));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Add(a, b));
+  }
+}
+BENCHMARK(BM_RelationalRingUnion)->Arg(16)->Arg(256);
 
 }  // namespace
 }  // namespace fivm

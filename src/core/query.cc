@@ -7,13 +7,6 @@ int Query::AddRelation(std::string name, Schema schema) {
   return static_cast<int>(relations_.size()) - 1;
 }
 
-int Query::RelationIndexByName(std::string_view name) const {
-  for (size_t i = 0; i < relations_.size(); ++i) {
-    if (relations_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 Schema Query::AllVars() const {
   Schema all;
   for (const auto& rel : relations_) {

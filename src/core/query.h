@@ -2,7 +2,6 @@
 #define FIVM_CORE_QUERY_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/data/catalog.h"
@@ -39,9 +38,6 @@ class Query {
   const RelationDef& relation(int i) const { return relations_[i]; }
   int relation_count() const { return static_cast<int>(relations_.size()); }
   const Schema& free_vars() const { return free_vars_; }
-
-  /// Index of the relation named `name`, or -1.
-  int RelationIndexByName(std::string_view name) const;
 
   /// All variables mentioned by any relation, in first-occurrence order.
   Schema AllVars() const;

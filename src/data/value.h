@@ -10,8 +10,8 @@
 namespace fivm {
 
 /// A typed scalar key value: either a 64-bit integer or a double. Strings are
-/// dictionary-encoded to integers at load time (util::StringDictionary), so
-/// the key space stays fixed-width.
+/// dictionary-encoded to integers before they become keys, so the key space
+/// stays fixed-width.
 ///
 /// Values appear in tuple keys and feed lifting functions; they are compared
 /// and hashed bitwise (two doubles are equal iff their bit patterns match,

@@ -1,31 +1,20 @@
 #include "src/durability/checkpoint.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
+#include "src/durability/file_util.h"
 #include "src/util/fail_point.h"
 
 namespace fivm::durability {
 namespace {
 
-[[noreturn]] void ThrowErrno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
+using fileio::ThrowErrno;
 
 void WriteAll(int fd, const uint8_t* p, size_t n, const std::string& what) {
   while (n > 0) {
@@ -49,32 +38,21 @@ std::string CheckpointPath(const std::string& dir, uint64_t lsn) {
 }
 
 std::vector<CheckpointMeta> ListCheckpoints(const std::string& dir) {
+  // Zero-padded LSNs make lexical order LSN order.
   std::vector<CheckpointMeta> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 10 && name.rfind("ckpt-", 0) == 0 &&
-        name.compare(name.size() - 5, 5, ".ckpt") == 0) {
-      CheckpointMeta m;
-      m.lsn = std::strtoull(name.c_str() + 5, nullptr, 10);
-      m.path = dir + "/" + name;
-      out.push_back(std::move(m));
-    }
+  for (std::string& path : fileio::ListNamed(dir, "ckpt-", ".ckpt")) {
+    CheckpointMeta m;
+    // The LSN starts after "<dir>/ckpt-".
+    m.lsn = std::strtoull(path.c_str() + dir.size() + 6, nullptr, 10);
+    m.path = std::move(path);
+    out.push_back(std::move(m));
   }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointMeta& a, const CheckpointMeta& b) {
-              return a.lsn < b.lsn;
-            });
   return out;
 }
 
 void InstallCheckpointBytes(const std::string& dir, uint64_t lsn,
                             const std::vector<uint8_t>& bytes) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    ThrowErrno("ckpt: mkdir " + dir);
-  }
+  fileio::MkDir(dir, "ckpt");
   const std::string final_path = CheckpointPath(dir, lsn);
   const std::string tmp_path = final_path + ".tmp";
   int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
@@ -101,25 +79,14 @@ void InstallCheckpointBytes(const std::string& dir, uint64_t lsn,
     ::unlink(tmp_path.c_str());
     throw;
   }
-  SyncDir(dir);
+  // Throws if the rename may not be durable, so the caller's WAL truncation
+  // and checkpoint GC never run past it.
+  fileio::SyncDir(dir, "ckpt");
 }
 
 bool ReadCheckpointBytes(const std::string& path, std::vector<uint8_t>* out) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
   std::vector<uint8_t> buf;
-  uint8_t chunk[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    buf.insert(buf.end(), chunk, chunk + n);
-  }
-  ::close(fd);
+  if (!fileio::ReadWholeFile(path, &buf)) return false;
   if (buf.size() < 28 + 4) return false;
   uint32_t magic, version, stored_crc;
   std::memcpy(&magic, buf.data(), 4);
@@ -137,18 +104,9 @@ void RemoveOldCheckpoints(const std::string& dir, size_t keep) {
     ::unlink(all[i].path.c_str());
   }
   // Stray temp files from crashed installs.
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  std::vector<std::string> tmps;
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0 &&
-        name.rfind("ckpt-", 0) == 0) {
-      tmps.push_back(dir + "/" + name);
-    }
+  for (const std::string& t : fileio::ListNamed(dir, "ckpt-", ".tmp")) {
+    ::unlink(t.c_str());
   }
-  ::closedir(d);
-  for (const std::string& t : tmps) ::unlink(t.c_str());
 }
 
 }  // namespace fivm::durability

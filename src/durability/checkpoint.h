@@ -58,7 +58,9 @@ std::string CheckpointPath(const std::string& dir, uint64_t lsn);
 
 /// Crash-atomic installation: temp file + fsync + rename + dir fsync.
 /// Throws on injected faults ("ckpt.write" mid-image, "ckpt.rename" before
-/// the rename) and real I/O errors; the temp file is unlinked on a throw.
+/// the rename, "durability.sync_dir" after it) and real I/O errors; the temp
+/// file is unlinked on a throw before the rename. A throw from the dir fsync
+/// leaves the renamed image in place, not known to be durable.
 void InstallCheckpointBytes(const std::string& dir, uint64_t lsn,
                             const std::vector<uint8_t>& bytes);
 

@@ -1,16 +1,14 @@
 #include "src/durability/wal.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
 
+#include "src/durability/file_util.h"
 #include "src/obs/metrics.h"
 #include "src/util/crc32c.h"
 #include "src/util/fail_point.h"
@@ -18,11 +16,11 @@
 namespace fivm::durability {
 namespace {
 
-constexpr size_t kMaxFramePayload = 1u << 30;
+using fileio::ReadWholeFile;
+using fileio::SyncDir;
+using fileio::ThrowErrno;
 
-[[noreturn]] void ThrowErrno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
+constexpr size_t kMaxFramePayload = 1u << 30;
 
 void PutHeaderU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void PutHeaderU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
@@ -48,38 +46,6 @@ uint64_t SegmentFirstLsn(const std::string& path) {
   size_t slash = path.find_last_of('/');
   std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
   return std::strtoull(name.c_str() + 4, nullptr, 10);
-}
-
-void SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-void MkDir(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    ThrowErrno("wal: mkdir " + dir);
-  }
-}
-
-bool ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  out->clear();
-  uint8_t chunk[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    out->insert(out->end(), chunk, chunk + n);
-  }
-  ::close(fd);
-  return true;
 }
 
 // Parses the frame at buf[pos..]; returns the frame's total byte size on
@@ -115,20 +81,8 @@ size_t ParseFrame(const std::vector<uint8_t>& buf, size_t pos,
 }  // namespace
 
 std::vector<std::string> ListWalSegments(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* e = ::readdir(d)) {
-    std::string name = e->d_name;
-    if (name.size() > 8 && name.rfind("wal-", 0) == 0 &&
-        name.compare(name.size() - 4, 4, ".seg") == 0) {
-      out.push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
   // Zero-padded LSNs make lexical order LSN order.
-  std::sort(out.begin(), out.end());
-  return out;
+  return fileio::ListNamed(dir, "wal-", ".seg");
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +91,7 @@ std::vector<std::string> ListWalSegments(const std::string& dir) {
 WalWriter::WalWriter(std::string dir, Options options, uint64_t min_lsn,
                      uint64_t min_update_index)
     : dir_(std::move(dir)), options_(options) {
-  MkDir(dir_);
+  fileio::MkDir(dir_, "wal");
   next_lsn_ = min_lsn + 1;
   next_update_index_ = min_update_index;
 
@@ -191,13 +145,17 @@ WalWriter::WalWriter(std::string dir, Options options, uint64_t min_lsn,
         ThrowErrno("wal: truncate torn tail " + tail);
       }
     }
+  }
+  // Before any descriptor is held, so a throw here leaks nothing.
+  if (options_.sync_dir) SyncDir(dir_, "wal");
+  if (commit_segment < segments.size()) {
     // Resume appending into the surviving tail segment.
+    const std::string& tail = segments[commit_segment];
     fd_ = ::open(tail.c_str(), O_WRONLY | O_APPEND);
     if (fd_ < 0) ThrowErrno("wal: reopen " + tail);
     segment_path_ = tail;
     segment_bytes_ = commit_pos;
   }
-  if (options_.sync_dir) SyncDir(dir_);
 }
 
 WalWriter::~WalWriter() {
@@ -224,11 +182,22 @@ void WalWriter::DropPending() { pending_.clear(); }
 
 void WalWriter::EnsureSegment() {
   if (fd_ >= 0) return;
-  segment_path_ = SegmentPath(dir_, next_lsn_);
-  fd_ = ::open(segment_path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) ThrowErrno("wal: create " + segment_path_);
+  std::string path = SegmentPath(dir_, next_lsn_);
+  int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+  if (fd < 0) ThrowErrno("wal: create " + path);
+  // The segment is kept only once its directory entry is durable: after a
+  // throw fd_ stays closed, so a supervised retry reopens and syncs again.
+  if (options_.sync_dir) {
+    try {
+      SyncDir(dir_, "wal");
+    } catch (...) {
+      ::close(fd);
+      throw;
+    }
+  }
+  fd_ = fd;
+  segment_path_ = std::move(path);
   segment_bytes_ = 0;
-  if (options_.sync_dir) SyncDir(dir_);
 }
 
 void WalWriter::RotateIfNeeded(size_t incoming_frame_bytes) {
@@ -357,7 +326,7 @@ void WalWriter::TruncateBelow(uint64_t lsn) {
   if (any) {
     ++stats_.truncations;
     truncations->Inc();
-    if (options_.sync_dir) SyncDir(dir_);
+    if (options_.sync_dir) SyncDir(dir_, "wal");
   }
 }
 

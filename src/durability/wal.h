@@ -86,8 +86,8 @@ class WalWriter {
  public:
   struct Options {
     size_t max_segment_bytes = 64u << 20;
-    /// fsync the directory after segment create/unlink (off only in tests
-    /// that hammer rotation).
+    /// fsync the directory after segment create/unlink, throwing if it
+    /// fails (off only in tests that hammer rotation).
     bool sync_dir = true;
   };
 

@@ -1,6 +1,6 @@
 // Remaining corner coverage: larger cyclic queries (the Appendix-B loop-4
-// with chord), baseline initialization from non-empty databases, SQL parsing
-// against the Retailer registry, and Value edge semantics.
+// with chord), baseline initialization from non-empty databases, a Retailer
+// group-by SUM in the real ring, and Value edge semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/core/query.h"
 #include "src/core/variable_order.h"
 #include "src/core/view_tree.h"
-#include "src/sql/parser.h"
 #include "src/util/rng.h"
 #include "src/workloads/retailer.h"
 
@@ -143,7 +142,12 @@ TEST(RecursiveIvmExtraTest, InitializeFromNonEmptyDatabase) {
   EXPECT_EQ(*dbt.result().Find(Tuple()), 17);
 }
 
-TEST(SqlRetailerTest, ParsesAggregatesOverRetailerSchema) {
+// The Section 2 query over Retailer, in the real ring:
+//   SELECT locn, SUM(inventoryunits * prize) FROM Inventory NATURAL JOIN
+//   Item NATURAL JOIN Weather NATURAL JOIN Location NATURAL JOIN Census
+//   GROUP BY locn;
+// Initialize over the generated data and insert-by-insert maintenance agree.
+TEST(RetailerGroupBySumTest, SumOfUnitsTimesPrizePerLocation) {
   workloads::RetailerConfig cfg;
   cfg.inventory_rows = 10;
   cfg.locations = 2;
@@ -151,44 +155,39 @@ TEST(SqlRetailerTest, ParsesAggregatesOverRetailerSchema) {
   cfg.products = 3;
   auto ds = workloads::RetailerDataset::Generate(cfg);
 
-  sql::SchemaRegistry registry;
+  Query query(&ds->catalog);
   for (const auto& rel : ds->query->relations()) {
-    std::vector<std::string> attrs;
-    for (VarId v : rel.schema) attrs.push_back(ds->catalog.NameOf(v));
-    registry.Register(rel.name, attrs);
+    query.AddRelation(rel.name, rel.schema);
   }
+  query.SetFreeVars(Schema{ds->locn});
+  LiftingMap<F64Ring> lifts;
+  lifts.Set(ds->catalog.Lookup("inventoryunits"), NumericLifting<F64Ring>());
+  lifts.Set(ds->catalog.Lookup("prize"), NumericLifting<F64Ring>());
 
-  std::string error;
-  auto parsed = sql::Parse(
-      "SELECT locn, SUM(inventoryunits * prize) FROM Inventory NATURAL JOIN "
-      "Item NATURAL JOIN Weather NATURAL JOIN Location NATURAL JOIN Census "
-      "GROUP BY locn;",
-      &ds->catalog, registry, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->query->relation_count(), 5);
-  EXPECT_EQ(parsed->sum_terms.size(), 2u);
-  EXPECT_TRUE(parsed->query->free_vars().Contains(ds->locn));
-
-  // The parsed query runs end to end over the generated data.
-  VariableOrder vo = VariableOrder::Auto(*parsed->query);
-  ViewTree tree(parsed->query.get(), &vo);
+  VariableOrder vo = VariableOrder::Auto(query);
+  ViewTree tree(&query, &vo);
   tree.MaterializeAll();
-  IvmEngine<F64Ring> engine(&tree, sql::SumLiftings(*parsed));
-  Database<F64Ring> db = MakeDatabase<F64Ring>(*parsed->query);
-  for (int r = 0; r < 5; ++r) {
-    int idx = parsed->query->RelationIndexByName(ds->query->relation(r).name);
-    ASSERT_GE(idx, 0);
+  IvmEngine<F64Ring> engine(&tree, lifts);
+  IvmEngine<F64Ring> incremental(&tree, lifts);
+  Database<F64Ring> db = MakeDatabase<F64Ring>(query);
+  incremental.Initialize(db);
+  for (int r = 0; r < query.relation_count(); ++r) {
     for (const Tuple& t : ds->tuples[r]) {
-      // Schemas in the parsed query may order attributes identically (the
-      // registry preserved order), so tuples transfer directly.
-      db[idx].Add(t, 1.0);
+      db[r].Add(t, 1.0);
+      Relation<F64Ring> delta(query.relation(r).schema);
+      delta.Add(t, 1.0);
+      incremental.ApplyDelta(r, std::move(delta));
     }
   }
   engine.Initialize(db);
   EXPECT_EQ(engine.result().size(), 2u);  // one group per location
-  engine.result().ForEach([](const Tuple&, const double& v) {
+  EXPECT_EQ(incremental.result().size(), 2u);
+  engine.result().ForEach([&](const Tuple& key, const double& v) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GT(v, 0.0);
+    const double* maintained = incremental.result().Find(key);
+    ASSERT_NE(maintained, nullptr);
+    EXPECT_NEAR(*maintained, v, 1e-9 * v);
   });
 }
 

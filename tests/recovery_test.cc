@@ -1,9 +1,10 @@
 // Durability end-to-end (no process kills — those live in
 // recovery_chaos_test.cc): checkpoint round-trips, recovery == reference
 // after window-mode and strict-mode ingest, WAL-only full replay, corrupt
-// checkpoint fallback, .tmp images ignored, and the disk-full simulation
+// checkpoint fallback, .tmp images ignored, the disk-full simulation
 // (persistent wal.append faults shed windows gracefully — counted, engine
-// consistent, recovery replays exactly the durable prefix).
+// consistent, recovery replays exactly the durable prefix), and a failed
+// directory fsync stopping a checkpoint before it removes anything.
 
 #include "src/durability/recovery.h"
 
@@ -67,7 +68,8 @@ class TempDir {
 struct Rig {
   explicit Rig(const std::string& log_dir = "",
                DurabilityPolicy policy = DurabilityPolicy::kOff,
-               size_t checkpoint_every = 0) {
+               size_t checkpoint_every = 0,
+               WalWriter::Options wal_options = {}) {
     A = catalog.Intern("A");
     B = catalog.Intern("B");
     C = catalog.Intern("C");
@@ -86,7 +88,7 @@ struct Rig {
                          .shards = 2});
     batcher.emplace(&engine->plans(), /*capacity=*/0);
     if (!log_dir.empty()) {
-      wal.emplace(log_dir, WalWriter::Options{});
+      wal.emplace(log_dir, wal_options);
       ckpt.emplace(log_dir, &*engine, &*wal);
     }
     server.emplace(&*engine);
@@ -439,6 +441,58 @@ TEST(RecoveryTest, StrictModeCheckpointsOnlyAtQuiescence) {
   ASSERT_TRUE(loaded.loaded);
   EXPECT_EQ(loaded.meta.update_count, 256u);
   EXPECT_TRUE(exec::StoresContentEqual(*fresh.engine, *rig.engine));
+}
+
+// A directory fsync that fails after a checkpoint's rename stops the
+// checkpoint there: the WAL segments it would cover and the older checkpoint
+// it would collect all stay, and the next checkpoint recovers exactly.
+TEST(RecoveryTest, FailedDirSyncKeepsWalAndOlderCheckpoints) {
+  TempDir td;
+  constexpr uint64_t kSeed = 60009;
+  WalWriter::Options wopt;
+  wopt.max_segment_bytes = 1024;  // many segments for TruncateBelow to cover
+  Rig rig(td.path(), DurabilityPolicy::kWindow, /*checkpoint_every=*/0, wopt);
+  StreamGen gen(kSeed);
+  size_t offered = 0;
+  auto pump_n = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      auto u = gen.Next();
+      ASSERT_TRUE(rig.service->Offer(u.relation, u.key, u.mult));
+      ++offered;
+      if (offered % 64 == 0) rig.service->PumpOnce(/*force_flush=*/true);
+    }
+    rig.service->DrainNow();
+  };
+  pump_n(400);
+  const CheckpointMeta oldest = rig.ckpt->WriteCheckpoint();
+  pump_n(400);
+  rig.ckpt->WriteCheckpoint();
+  pump_n(400);
+  // Unfaulted, the next checkpoint would unlink all but the active segment
+  // and collect `oldest` (Checkpointer keeps 2).
+  const std::vector<std::string> segments = ListWalSegments(td.path());
+  ASSERT_GT(segments.size(), 2u);
+
+  auto& fp = util::FailPointRegistry::Default();
+  fp.ArmNth("durability.sync_dir", 1);
+  EXPECT_THROW(rig.ckpt->WriteCheckpoint(), util::InjectedFault);
+  fp.DisarmAll();
+  EXPECT_EQ(ListWalSegments(td.path()), segments);
+  const std::vector<CheckpointMeta> ckpts = ListCheckpoints(td.path());
+  ASSERT_EQ(ckpts.size(), 3u);  // the renamed image stays listed too
+  EXPECT_EQ(ckpts.front().path, oldest.path);
+
+  pump_n(200);
+  const CheckpointMeta last = rig.ckpt->WriteCheckpoint();
+  Rig recovered;
+  RecoveryResult rr = RecoverInto(&recovered, td.path());
+  EXPECT_TRUE(rr.checkpoint_loaded);
+  EXPECT_EQ(rr.checkpoint_lsn, last.lsn);
+  EXPECT_EQ(rr.update_count, offered);
+
+  Rig twin;
+  FeedReference(&*twin.engine, twin.query, kSeed, offered);
+  EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *twin.engine));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "src/util/hash.h"
 #include "src/util/memory_tracker.h"
 #include "src/util/rng.h"
-#include "src/util/string_dictionary.h"
 #include "src/util/timer.h"
 
 namespace fivm::util {
@@ -101,31 +100,6 @@ TEST(ZipfTest, ThetaZeroIsUniformish) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 10000; ++i) ++counts[zipf.Sample(rng)];
   for (int c : counts) EXPECT_GT(c, 700);
-}
-
-TEST(StringDictionaryTest, InternAndDecode) {
-  StringDictionary dict;
-  int64_t a = dict.Intern("alpha");
-  int64_t b = dict.Intern("beta");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(dict.Intern("alpha"), a);
-  EXPECT_EQ(dict.Decode(a), "alpha");
-  EXPECT_EQ(dict.Decode(b), "beta");
-  EXPECT_EQ(dict.size(), 2u);
-}
-
-TEST(StringDictionaryTest, LookupWithoutIntern) {
-  StringDictionary dict;
-  EXPECT_EQ(dict.Lookup("missing"), -1);
-  dict.Intern("present");
-  EXPECT_EQ(dict.Lookup("present"), 0);
-}
-
-TEST(StringDictionaryTest, DenseCodes) {
-  StringDictionary dict;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(dict.Intern("key" + std::to_string(i)), i);
-  }
 }
 
 TEST(MemoryTrackerTest, DisabledWithoutHooks) {

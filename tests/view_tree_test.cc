@@ -272,5 +272,42 @@ TEST(ViewTreeTest, DisconnectedQueryGetsVirtualRoot) {
   EXPECT_EQ(root.subtree_relations.size(), 2u);
 }
 
+// --- Explain facilities ---------------------------------------------------
+
+TEST(ExplainTest, ExplainViewsShowsDefinitions) {
+  Catalog catalog;
+  Query query(&catalog);
+  VarId A = catalog.Intern("A"), B = catalog.Intern("B"),
+        C = catalog.Intern("C"), D = catalog.Intern("D"),
+        E = catalog.Intern("E");
+  query.AddRelation("R", Schema{A, B});
+  query.AddRelation("S", Schema{A, C, E});
+  query.AddRelation("T", Schema{C, D});
+  VariableOrder vo;
+  int a = vo.AddNode(A, -1);
+  vo.AddNode(B, a);
+  int c = vo.AddNode(C, a);
+  vo.AddNode(D, c);
+  vo.AddNode(E, c);
+  std::string error;
+  ASSERT_TRUE(vo.Finalize(query, &error));
+  ViewTree tree(&query, &vo);
+
+  std::string views = tree.ExplainViews();
+  EXPECT_NE(views.find("⊕D"), std::string::npos);
+  EXPECT_NE(views.find("T[C,D]"), std::string::npos);
+  EXPECT_NE(views.find("⊗"), std::string::npos);
+
+  // Delta rules for updates to T (Example 4.1): bottom rule marginalizes D
+  // over δT, then joins with the S-side view.
+  std::string delta = tree.ExplainDelta(2);
+  EXPECT_NE(delta.find("δT[C,D]"), std::string::npos);
+  EXPECT_NE(delta.find("⊕D"), std::string::npos);
+  size_t first_rule = delta.find("⊕D");
+  size_t join_rule = delta.find("⊗");
+  EXPECT_NE(join_rule, std::string::npos);
+  EXPECT_LT(first_rule, join_rule);  // leaf rule precedes join rules
+}
+
 }  // namespace
 }  // namespace fivm
