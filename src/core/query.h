@@ -33,7 +33,6 @@ class Query {
   void SetFreeVars(Schema free_vars) { free_vars_ = std::move(free_vars); }
 
   const Catalog& catalog() const { return *catalog_; }
-  Catalog* mutable_catalog() { return catalog_; }
   const std::vector<RelationDef>& relations() const { return relations_; }
   const RelationDef& relation(int i) const { return relations_[i]; }
   int relation_count() const { return static_cast<int>(relations_.size()); }

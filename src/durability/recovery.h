@@ -94,9 +94,7 @@ RecoveryResult Recover(const std::string& dir, IvmEngine<Ring>* engine,
   size_t batched = 0;
   auto flush_and_apply = [&] {
     if (batched == 0) return;
-    for (auto& b : batcher->Flush()) {
-      executor->ApplyBatch(b.relation, std::move(b.delta));
-    }
+    executor->Drain(*batcher);
     batched = 0;
   };
   // Frames of the in-flight window; pushed into the batcher only once the

@@ -1,14 +1,12 @@
 #ifndef FIVM_EXEC_DELTA_BATCHER_H_
 #define FIVM_EXEC_DELTA_BATCHER_H_
 
-#include <cassert>
 #include <cstddef>
 #include <utility>
 #include <vector>
 
 #include "src/core/view_tree.h"
 #include "src/data/relation.h"
-#include "src/data/relation_ops.h"
 #include "src/data/tuple.h"
 #include "src/obs/metrics.h"
 #include "src/plan/propagation_plan.h"
@@ -20,10 +18,11 @@ namespace fivm::exec {
 /// Ingestion buffer in front of the IVM engine: accumulates single-tuple
 /// updates per relation, coalescing identical keys by ring addition as they
 /// arrive (an insert/delete pair of the same key cancels before the engine
-/// ever sees it), and emits one delta relation per touched relation,
-/// reordered to the engine's leaf schema once per batch rather than once
-/// per tuple. One coalesced leaf-to-root propagation then amortizes the
-/// join/marginalize work the per-tuple path repeats per update.
+/// ever sees it), and emits one delta relation per touched relation, keyed
+/// in the query relation's schema — the out-schema of its view-tree leaf,
+/// so the engine applies it without a reorder. One coalesced leaf-to-root
+/// propagation then amortizes the join/marginalize work the per-tuple path
+/// repeats per update.
 ///
 /// Cross-relation ordering inside one batch window collapses to first-touch
 /// order: Flush() emits relations in the order they first received an
@@ -41,8 +40,7 @@ class DeltaBatcher {
   };
 
   /// `plans` (a compiled plan set, e.g. IvmEngine::plans()) must outlive
-  /// the batcher: per relation the batcher holds a handle to its
-  /// PropagationPlan, whose leaf schema is the layout Flush() emits.
+  /// the batcher, which reads the query relations off its view tree.
   /// `capacity` is the number of buffered updates (counted pre-coalescing)
   /// after which Full() turns true and the caller should Flush(); 0 means
   /// "never full" (manual flushing only).
@@ -50,12 +48,7 @@ class DeltaBatcher {
       : tree_(&plans->tree()),
         capacity_(capacity),
         accums_(tree_->query().relation_count()),
-        input_layouts_(tree_->query().relation_count()),
         in_batch_(tree_->query().relation_count(), 0) {
-    plan_of_relation_.reserve(tree_->query().relation_count());
-    for (int r = 0; r < tree_->query().relation_count(); ++r) {
-      plan_of_relation_.push_back(&plans->ForRelation(r));
-    }
     auto& reg = obs::MetricRegistry::Default();
     obs_flushes_ = reg.GetCounter("batcher.flushes");
     obs_pushed_ = reg.GetCounter("batcher.pushed_updates");
@@ -65,29 +58,13 @@ class DeltaBatcher {
 
   size_t capacity() const { return capacity_; }
 
-  /// Declares the column layout in which `relation`'s updates arrive (e.g.
-  /// a source feed ordered differently from the query relation). Keys are
-  /// coalesced in the arrival layout; Flush() projects each *coalesced* key
-  /// to the leaf schema once, instead of re-ordering per pushed tuple.
-  /// `schema` must cover the same variable set as the query relation, and
-  /// the relation's accumulator must be empty. The layout sticks across
-  /// flushes.
-  void SetInputSchema(int relation, Schema schema) {
-    assert(schema.SameSet(tree_->query().relation(relation).schema));
-    assert(!in_batch_[relation] &&
-           "cannot change the input layout of a non-empty accumulator");
-    input_layouts_[relation] = std::move(schema);
-    accums_[relation] = Relation<Ring>();
-  }
-
   /// Updates buffered since the last flush, before coalescing.
   size_t pending_updates() const { return pending_updates_; }
 
   bool Full() const { return capacity_ > 0 && pending_updates_ >= capacity_; }
 
   /// Buffers key → payload into `relation`'s accumulator. The key uses the
-  /// query relation's schema layout, or the layout declared with
-  /// SetInputSchema.
+  /// query relation's schema layout.
   void Push(int relation, const Tuple& key, Element payload) {
     if (pending_updates_ == 0) first_push_ticks_ = obs::TickClock::Now();
     Accumulator(relation).Add(key, std::move(payload));
@@ -118,8 +95,7 @@ class DeltaBatcher {
   uint64_t first_push_ticks() const { return first_push_ticks_; }
 
   /// Emits the coalesced per-relation deltas (first-touch order), dropping
-  /// keys whose payloads cancelled to zero and reordering each delta to the
-  /// engine's leaf out-schema in a single pass. Resets the batcher.
+  /// keys whose payloads cancelled to zero. Resets the batcher.
   std::vector<Batch> Flush() {
     // Failpoint before any accumulator is surrendered: a flush that throws
     // here leaves every buffered update in place, so the caller can simply
@@ -137,10 +113,7 @@ class DeltaBatcher {
       Relation<Ring>& acc = accums_[r];
       emitted += acc.size();
       cancelled += acc.KeyPoolSize() - acc.size();
-      if (!acc.empty()) {
-        const Schema& target = plan_of_relation_[r]->leaf_schema();
-        out.push_back(Batch{r, Reordered(std::move(acc), target)});
-      }
+      if (!acc.empty()) out.push_back(Batch{r, std::move(acc)});
       accums_[r] = Relation<Ring>();
       in_batch_[r] = 0;
     }
@@ -159,10 +132,8 @@ class DeltaBatcher {
  private:
   Relation<Ring>& Accumulator(int relation) {
     if (!in_batch_[relation]) {
-      const Schema& layout = input_layouts_[relation].empty()
-                                 ? tree_->query().relation(relation).schema
-                                 : input_layouts_[relation];
-      accums_[relation] = Relation<Ring>(layout);
+      accums_[relation] =
+          Relation<Ring>(tree_->query().relation(relation).schema);
       in_batch_[relation] = 1;
       touched_.push_back(relation);
     }
@@ -170,12 +141,8 @@ class DeltaBatcher {
   }
 
   const ViewTree* tree_;
-  /// Per-relation handle into the compiled plan set (flush target layout).
-  std::vector<const plan::PropagationPlan*> plan_of_relation_;
   size_t capacity_;
   std::vector<Relation<Ring>> accums_;
-  /// Per-relation arrival layout; empty = the query relation's schema.
-  std::vector<Schema> input_layouts_;
   std::vector<char> in_batch_;
   std::vector<int> touched_;  // first-touch emission order
   size_t pending_updates_ = 0;

@@ -59,9 +59,12 @@
 //    checkpoint_every_flushes flushes, when sealed == applied holds.
 //
 // Threading: any number of producer threads may Offer() concurrently; the
-// single service thread owns batcher/executor/server (the engine write path
-// is single-writer by contract). Tests can instead run the loop inline with
-// PumpOnce()/DrainNow() — same code paths, no thread.
+// single service thread owns batcher/executor/server. The engine write path
+// and every SnapshotServer writer-side call (Publish, MergeSmall,
+// MergeStep) are single-writer by contract, and all of them run on that
+// thread, one after another. Tests can instead run the loop inline with
+// PumpOnce()/DrainNow() — same code paths, no thread; the calling thread is
+// then the writer.
 #ifndef FIVM_INGEST_INGEST_SERVICE_H_
 #define FIVM_INGEST_INGEST_SERVICE_H_
 

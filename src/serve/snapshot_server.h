@@ -6,7 +6,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -47,12 +46,12 @@ struct MergePolicy {
 ///    VersionSet, retires the old one, and advances the reclamation epoch;
 ///  - MergeStep()/MergeNow()/MergeSmall() (IngestService calls MergeSmall
 ///    after each publish and MergeStep after each flush) fold base ⊎
-///    segments into the next generation off-lock:
-///    segments coalesce into one differential, which is absorbed into the
-///    *spare* — the base generation the previous merge displaced,
-///    double-buffered against the installed one. The spare is generation g-1; absorbing
-///    the previous merge's differential (`last_fold`, which made g) and
-///    then this one makes it g+1, so a merge costs O(|differential|), not
+///    segments into the next generation: the segments coalesce into one
+///    differential, which is absorbed into the *spare* — the base
+///    generation the previous merge displaced, double-buffered against the
+///    installed one. The spare is generation g-1; absorbing the previous
+///    merge's differential (`last_fold`, which made g) and then this one
+///    makes it g+1, so a merge costs O(|differential|), not
 ///    O(|base|). The spare is mutated only once no reader can reach it:
 ///    the epoch rule that frees VersionSets (every set referencing it
 ///    retired before MinPinned()) marks it drained. A merge clones the
@@ -69,15 +68,19 @@ struct MergePolicy {
 /// immutable probes — and are wait-free: no lock, no refcount, no
 /// allocation on the lookup path (tests/zero_alloc_probe_test.cc proves
 /// the scalar-ring case). Retired VersionSets are freed only after every
-/// snapshot pinned at or before their retire epoch drains, and outside the
-/// server lock (serve/epoch.h has the full memory-order argument).
+/// snapshot pinned at or before their retire epoch drains (serve/epoch.h
+/// has the full memory-order argument).
 ///
-/// Threading contract: deltas + Publish() on one writer thread; merges on
-/// any thread, concurrent with the writer and readers (merges serialize
-/// against each other internally); any number of reader threads up to
-/// EpochRegistry::kMaxReaders live snapshots. The server registers itself
-/// as the engine's store-delta observer for its lifetime and must outlive
-/// every Snapshot it hands out. Engine::Initialize
+/// Threading contract: single writer. Deltas, Publish(), the merges,
+/// Rebase(), Reclaim() and RetiredCount() are writer-side calls, and the
+/// caller must never run two of them at the same time — the writer owns
+/// every mutable field, so the server takes no lock. A merge never waits
+/// for a reader: it reads the current set directly, which only the writer
+/// can retire. Acquire()/TryAcquire(), every Snapshot method and the
+/// atomic-backed stat getters are safe from any thread, for any number of
+/// readers up to EpochRegistry::kMaxReaders live snapshots. The server
+/// registers itself as the engine's store-delta observer for its lifetime
+/// and must outlive every Snapshot it hands out. Engine::Initialize
 /// bypasses the observer — construct the server afterwards, or Rebase().
 template <typename Ring>
 class SnapshotServer {
@@ -162,12 +165,8 @@ class SnapshotServer {
     engine_->SetStoreDeltaObserver(nullptr);
     assert(epochs_.PinnedCount() == 0 &&
            "snapshots must not outlive their server");
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (auto& [epoch, set] : retired_) delete set;
-      retired_.clear();
-      delete current_.load(std::memory_order_relaxed);
-    }
+    for (auto& [epoch, set] : retired_) delete set;
+    delete current_.load(std::memory_order_relaxed);
   }
 
   SnapshotServer(const SnapshotServer&) = delete;
@@ -334,8 +333,8 @@ class SnapshotServer {
   };
 
   /// Pins the current version for reading. Lock-free (one slot CAS + the
-  /// pin/validate loop); safe from any thread, concurrent with writes and
-  /// merges. Spins while all EpochRegistry::kMaxReaders reader slots hold
+  /// pin/validate loop); safe from any thread, concurrent with the writer.
+  /// Spins while all EpochRegistry::kMaxReaders reader slots hold
   /// live snapshots — callers that may saturate the registry (or cannot
   /// block) use TryAcquire instead.
   Snapshot Acquire() const { return Snapshot(this); }
@@ -353,7 +352,7 @@ class SnapshotServer {
 
   /// Freezes every dirty staging relation into a published segment and
   /// swaps in the next VersionSet; returns its sequence number (unchanged
-  /// when nothing was staged). Writer-thread only — wire it per batch via
+  /// when nothing was staged). Writer-side — wire it per batch via
   /// ParallelExecutor::SetPostBatchHook, or call explicitly after
   /// ApplyDelta.
   uint64_t Publish() {
@@ -363,18 +362,10 @@ class SnapshotServer {
     // next publish pick the segments up (visibility is delayed, never
     // lost or duplicated).
     FIVM_FAIL_POINT("serve.publish");
+    const VersionSet* old = current_.load(std::memory_order_relaxed);
     bool any = false;
     for (char d : dirty_) any |= (d != 0);
-    if (!any) {
-      // Nothing staged: report the current sequence. The lock (not a pin)
-      // keeps a concurrent merge from retiring-and-reclaiming the set
-      // between the load and the deref.
-      std::lock_guard<std::mutex> lk(mu_);
-      return current_.load(std::memory_order_relaxed)->seq;
-    }
-    Garbage garbage;  // freed after `lk` unlocks
-    std::lock_guard<std::mutex> lk(mu_);
-    const VersionSet* old = current_.load(std::memory_order_relaxed);
+    if (!any) return old->seq;
     auto* next = new VersionSet(*old);
     next->seq = old->seq + 1;
     for (size_t i = 0; i < staging_.size(); ++i) {
@@ -391,14 +382,12 @@ class SnapshotServer {
       staging_[i] = Rel(std::move(schema));
     }
     stats_publishes_.fetch_add(1, std::memory_order_relaxed);
-    InstallLocked(next, garbage);
+    Install(next);
     return next->seq;
   }
 
   /// One merge pass under the current MergePolicy; returns how many stores
-  /// folded their differential into a new base generation. The fold runs
-  /// off the writer lock against a pinned snapshot; only the final install
-  /// takes it. Merges are serialized against each other internally.
+  /// folded their differential into a new base generation. Writer-side.
   size_t MergeStep() { return MergeImpl(Scope::kPolicy); }
 
   /// Folds every non-empty differential regardless of policy bounds.
@@ -417,20 +406,44 @@ class SnapshotServer {
   /// Frees retired VersionSets and displaced generations whose last
   /// possible reader has drained. Publish and merge reclaim
   /// opportunistically; tests call this to reclaim without publishing.
+  /// Writer-side.
   void Reclaim() {
-    Garbage garbage;
-    std::lock_guard<std::mutex> lk(mu_);
-    ReclaimLocked(garbage);
+    const uint64_t min_pinned = epochs_.MinPinned();
+    size_t kept = 0;
+    for (auto& [epoch, set] : retired_) {
+      if (epoch < min_pinned) {
+        delete set;
+        stats_reclaimed_versions_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        retired_[kept++] = {epoch, set};
+      }
+    }
+    retired_.resize(kept);
+    // A generation is reachable only through VersionSets, all retired at
+    // or before its own retire epoch, so one rule covers both.
+    kept = 0;
+    for (auto& [epoch, gen] : draining_) {
+      if (epoch < min_pinned) {
+        gen.reset();
+        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        draining_[kept++] = {epoch, std::move(gen)};
+      }
+    }
+    draining_.resize(kept);
+    for (FoldState& fs : folds_) {
+      if (fs.spare && !fs.spare_drained && fs.spare_epoch < min_pinned) {
+        fs.spare_drained = true;
+        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
 
   /// Re-freezes every served base from the engine's current stores,
   /// dropping all segments, staged state and merge spares
   /// (IvmEngine::Initialize fills stores without firing the delta observer
-  /// — call this after it). Writer-thread only; waits out a running merge.
+  /// — call this after it). Writer-side.
   void Rebase() {
-    std::lock_guard<std::mutex> merge_lk(merge_mu_);
-    Garbage garbage;  // freed after `lk` unlocks
-    std::lock_guard<std::mutex> lk(mu_);
     auto* next = new VersionSet();
     next->seq = current_.load(std::memory_order_relaxed)->seq + 1;
     next->stores.resize(nodes_.size());
@@ -441,13 +454,13 @@ class SnapshotServer {
       staging_[i] = Rel(engine_->store(nodes_[i]).schema());
       dirty_[i] = 0;
     }
-    const uint64_t retire_epoch = InstallLocked(next, garbage);
+    const uint64_t retire_epoch = Install(next);
     for (size_t i = 0; i < nodes_.size(); ++i) {
       FoldState& fs = folds_[i];
       // Neither the displaced base nor the spare is folded into again;
       // both drain like any retired generation.
       draining_.emplace_back(retire_epoch, std::move(fs.live));
-      DropSpareLocked(fs, garbage);
+      DropSpare(fs);
       fs.live = std::move(bases[i]);
     }
   }
@@ -456,7 +469,7 @@ class SnapshotServer {
   void set_policy(const MergePolicy& p) { policy_ = p; }
 
   /// Server-local statistics, live in every build config; the registry
-  /// exports them as serve.* gauges.
+  /// exports them as serve.* gauges. Atomic-backed: safe from any thread.
   uint64_t PublishCount() const {
     return stats_publishes_.load(std::memory_order_relaxed);
   }
@@ -480,10 +493,8 @@ class SnapshotServer {
   uint64_t ClonedGenerations() const {
     return stats_cloned_generations_.load(std::memory_order_relaxed);
   }
-  size_t RetiredCount() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return retired_.size();
-  }
+  /// Retired VersionSets not yet reclaimed. Writer-side.
+  size_t RetiredCount() const { return retired_.size(); }
   size_t SegmentCount() const {
     return segment_count_.load(std::memory_order_relaxed);
   }
@@ -491,8 +502,8 @@ class SnapshotServer {
 
  private:
   /// Per served store: the double buffer behind the in-place merge fold.
-  /// `live` and `last_fold` are touched only under merge_mu_; the spare
-  /// fields also under mu_ (ReclaimLocked marks spares drained).
+  /// Writer-owned, like every other mutable field; Reclaim() marks spares
+  /// drained.
   struct FoldState {
     /// Mutable handle on the base generation currently installed.
     std::shared_ptr<Rel> live;
@@ -506,20 +517,6 @@ class SnapshotServer {
     uint64_t spare_epoch = 0;
     /// No reader can reach the spare any more; a merge may mutate it.
     bool spare_drained = false;
-  };
-
-  /// What a reclamation pass unlinked under mu_. Its destructor frees it,
-  /// so callers declare it *before* their lock guard: the free then runs
-  /// after the unlock, never inside the server's critical section.
-  struct Garbage {
-    Garbage() = default;
-    Garbage(const Garbage&) = delete;
-    Garbage& operator=(const Garbage&) = delete;
-    ~Garbage() {
-      for (const VersionSet* set : sets) delete set;
-    }
-    std::vector<const VersionSet*> sets;
-    std::vector<std::shared_ptr<Rel>> generations;
   };
 
   /// Clone-path pool headroom beyond the clone's own differential: a
@@ -545,9 +542,9 @@ class SnapshotServer {
   }
 
   /// Swaps in `next`, retires the displaced set at the current epoch,
-  /// advances the epoch, and reclaims what already drained into `garbage`.
-  /// Returns the retire epoch. Caller holds mu_.
-  uint64_t InstallLocked(const VersionSet* next, Garbage& garbage) {
+  /// advances the epoch, and reclaims what already drained. Returns the
+  /// retire epoch.
+  uint64_t Install(const VersionSet* next) {
     const VersionSet* old = current_.load(std::memory_order_relaxed);
     current_.store(next, std::memory_order_seq_cst);
     uint64_t retire_epoch = epochs_.CurrentEpoch();
@@ -556,50 +553,16 @@ class SnapshotServer {
     size_t segs = 0;
     for (const StoreVersion& sv : next->stores) segs += sv.segments.size();
     segment_count_.store(segs, std::memory_order_relaxed);
-    ReclaimLocked(garbage);
+    Reclaim();
     return retire_epoch;
   }
 
-  /// Moves every retired VersionSet and displaced generation no reader can
-  /// reach any more into `garbage`, and marks drained spares. A generation
-  /// is reachable only through VersionSets, all retired at or before its
-  /// own retire epoch, so one rule covers both. Caller holds mu_.
-  void ReclaimLocked(Garbage& garbage) {
-    const uint64_t min_pinned = epochs_.MinPinned();
-    size_t kept = 0;
-    for (auto& [epoch, set] : retired_) {
-      if (epoch < min_pinned) {
-        garbage.sets.push_back(set);
-        stats_reclaimed_versions_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        retired_[kept++] = {epoch, set};
-      }
-    }
-    retired_.resize(kept);
-    kept = 0;
-    for (auto& [epoch, gen] : draining_) {
-      if (epoch < min_pinned) {
-        garbage.generations.push_back(std::move(gen));
-        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        draining_[kept++] = {epoch, std::move(gen)};
-      }
-    }
-    draining_.resize(kept);
-    for (FoldState& fs : folds_) {
-      if (fs.spare && !fs.spare_drained && fs.spare_epoch < min_pinned) {
-        fs.spare_drained = true;
-        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Gives up `fs`'s spare: a drained one is freed with `garbage`, one
-  /// still reachable waits in draining_. Caller holds mu_.
-  void DropSpareLocked(FoldState& fs, Garbage& garbage) {
+  /// Gives up `fs`'s spare: a drained one is freed, one still reachable
+  /// waits in draining_.
+  void DropSpare(FoldState& fs) {
     if (fs.spare == nullptr) return;
     if (fs.spare_drained) {
-      garbage.generations.push_back(std::move(fs.spare));
+      fs.spare.reset();
     } else {
       draining_.emplace_back(fs.spare_epoch, std::move(fs.spare));
     }
@@ -609,18 +572,16 @@ class SnapshotServer {
   enum class Scope { kPolicy, kAll, kSmall };
 
   size_t MergeImpl(Scope which) {
-    // One merger at a time: segment-list prefixes below are only stable
-    // when no other merge can install between the fold and the install,
-    // and the fold states are the merger's own.
-    std::lock_guard<std::mutex> merge_lk(merge_mu_);
     // Failpoint at merge start: nothing folded, nothing installed. An
     // aborted merge leaves the version chain untouched; segments simply
     // wait for the next pass.
     FIVM_FAIL_POINT("serve.merge");
-    Snapshot snap = Acquire();  // pins the fold's working set
+    // The fold's working set. Only the writer — this thread — retires the
+    // current set, so it needs no pin and stays the latest until the
+    // install below.
+    const VersionSet* cur = current_.load(std::memory_order_relaxed);
     struct Fold {
       size_t slot;
-      size_t segments;
       size_t segment_keys;
       std::shared_ptr<Rel> base;  // the next generation
       Rel diff;
@@ -628,7 +589,7 @@ class SnapshotServer {
     };
     std::vector<Fold> folds;
     for (size_t i = 0; i < nodes_.size(); ++i) {
-      const StoreVersion& sv = snap.set_->stores[i];
+      const StoreVersion& sv = cur->stores[i];
       if (sv.segments.empty()) continue;
       size_t diff_keys = 0;
       for (const RelPtr& s : sv.segments) diff_keys += s->size();
@@ -639,31 +600,26 @@ class SnapshotServer {
            (sv.segments.size() >= policy_.max_segments ||
             diff_keys >= policy_.max_diff_keys));
       if (!fold) continue;
-      folds.push_back(
-          Fold{i, sv.segments.size(), diff_keys, nullptr, Rel()});
+      folds.push_back(Fold{i, diff_keys, nullptr, Rel()});
     }
     if (folds.empty()) return 0;
-    {
-      // Claim each folding store's spare if it drained. One still pinned
-      // is never waited for: it drains on its own and this merge clones.
-      Garbage garbage;  // freed after `lk` unlocks
-      std::lock_guard<std::mutex> lk(mu_);
-      ReclaimLocked(garbage);
-      for (Fold& f : folds) {
-        FoldState& fs = folds_[f.slot];
-        if (fs.spare_drained) {
-          f.base = std::exchange(fs.spare, nullptr);
-          fs.spare_drained = false;
-        } else {
-          DropSpareLocked(fs, garbage);
-        }
+    // Claim each folding store's spare if it drained. One still pinned is
+    // never waited for: it drains on its own and this merge clones.
+    Reclaim();
+    for (Fold& f : folds) {
+      FoldState& fs = folds_[f.slot];
+      if (fs.spare_drained) {
+        f.base = std::exchange(fs.spare, nullptr);
+        fs.spare_drained = false;
+      } else {
+        DropSpare(fs);
       }
     }
     for (Fold& f : folds) {
       obs::ScopedTimer timer(obs_merge_ns_);
-      const StoreVersion& sv = snap.set_->stores[f.slot];
+      const StoreVersion& sv = cur->stores[f.slot];
       const FoldState& fs = folds_[f.slot];
-      assert(sv.base == fs.live && "merges and rebases are serialized");
+      assert(sv.base == fs.live && "the installed base is the live one");
       // Coalesce the frozen segments into one differential (ring addition
       // dedups keys across segments).
       f.diff = Rel(sv.base->schema());
@@ -694,25 +650,17 @@ class SnapshotServer {
     // the fold states change only below. Stats are counted past this
     // point so an aborted merge reports nothing as merged.
     FIVM_FAIL_POINT("serve.merge.install");
-    Garbage garbage;  // freed after `lk` unlocks, as is `folds`
-    std::lock_guard<std::mutex> lk(mu_);
-    const VersionSet* latest = current_.load(std::memory_order_relaxed);
-    auto* next = new VersionSet(*latest);
+    auto* next = new VersionSet(*cur);
     for (const Fold& f : folds) {
+      // `cur` is the latest set, so every segment of a folded store is in
+      // its new base.
       StoreVersion& sv = next->stores[f.slot];
-      // The writer only appends segments and merges are serialized, so
-      // the latest set's first f.segments segments are exactly the ones
-      // folded above; the remainder published after the fold started and
-      // stays differential.
-      assert(sv.segments.size() >= f.segments);
-      sv.segments.erase(
-          sv.segments.begin(),
-          sv.segments.begin() + static_cast<std::ptrdiff_t>(f.segments));
+      sv.segments.clear();
       sv.base = f.base;
       ++sv.base_gen;
       stats_merged_keys_.fetch_add(f.diff.size(), std::memory_order_relaxed);
     }
-    const uint64_t retire_epoch = InstallLocked(next, garbage);
+    const uint64_t retire_epoch = Install(next);
     for (Fold& f : folds) {
       FoldState& fs = folds_[f.slot];
       fs.spare = std::exchange(fs.live, std::move(f.base));
@@ -731,22 +679,19 @@ class SnapshotServer {
   std::vector<int> slot_of_node_;    // tree node -> served slot, or -1
   MergePolicy policy_;
 
-  /// Writer-thread-only differential staging (one per served store).
+  /// Differential staging (one per served store).
   std::vector<Rel> staging_;
   std::vector<char> dirty_;
 
   /// The published version chain. current_ is the readers' single entry
-  /// point; mu_ guards installs and the retired list (writers/mergers
-  /// only — never taken on a read path).
+  /// point and the only field they touch; the rest is writer-owned.
   std::atomic<const VersionSet*> current_{nullptr};
-  mutable std::mutex mu_;
   std::vector<std::pair<uint64_t, const VersionSet*>> retired_;
   /// Displaced generations no merge will fold into, with their retire
-  /// epochs, waiting for their readers to drain (guarded by mu_).
+  /// epochs, waiting for their readers to drain.
   std::vector<std::pair<uint64_t, std::shared_ptr<Rel>>> draining_;
   std::vector<FoldState> folds_;  // one per served store
   mutable EpochRegistry epochs_;
-  std::mutex merge_mu_;  // serializes MergeImpl and Rebase
 
   /// Server-local stats (live in every build config; tests read these).
   std::atomic<uint64_t> stats_publishes_{0};

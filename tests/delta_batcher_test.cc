@@ -94,29 +94,31 @@ TEST(DeltaBatcherTest, ZeroSumUpdatesCancelBeforeEmission) {
   EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({7, 8})), 1);
 }
 
-TEST(DeltaBatcherTest, ReordersArrivalLayoutToLeafSchemaOncePerBatch) {
+TEST(DeltaBatcherTest, FlushEmitsDeltasInTheLeafSchema) {
   Fixture f;
   DeltaBatcher<I64Ring> batcher(&f.plans, 0);
-  // T's updates arrive as (D, C) — reversed relative to T(C, D).
-  batcher.SetInputSchema(f.t, Schema{f.D, f.C});
-  batcher.PushInsert(f.t, Tuple::Ints({9, 3}));   // (d=9, c=3)
-  batcher.PushInsert(f.t, Tuple::Ints({9, 3}));   // coalesces pre-reorder
-  batcher.PushInsert(f.t, Tuple::Ints({10, 4}));  // (d=10, c=4)
+  // A flushed delta is keyed in its relation leaf's out-schema, so the
+  // engine propagates it as emitted.
+  batcher.PushInsert(f.s, Tuple::Ints({1, 3, 9}));
+  batcher.PushInsert(f.s, Tuple::Ints({1, 3, 9}));  // coalesces
+  batcher.PushInsert(f.s, Tuple::Ints({2, 4, 10}));
 
   auto batches = batcher.Flush();
   ASSERT_EQ(batches.size(), 1u);
   const Schema& leaf_schema =
-      f.tree.node(f.tree.LeafOfRelation(f.t)).out_schema;
+      f.tree.node(f.tree.LeafOfRelation(f.s)).out_schema;
   EXPECT_EQ(batches[0].delta.schema(), leaf_schema);
   EXPECT_EQ(batches[0].delta.size(), 2u);
-  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({3, 9})), 2);   // (c,d)
-  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({4, 10})), 1);
+  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({1, 3, 9})), 2);
+  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({2, 4, 10})), 1);
 
-  // The layout sticks across flushes.
-  batcher.PushInsert(f.t, Tuple::Ints({11, 5}));
+  // The next window starts empty and keeps the layout.
+  batcher.PushInsert(f.s, Tuple::Ints({5, 6, 11}));
   batches = batcher.Flush();
   ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({5, 11})), 1);
+  EXPECT_EQ(batches[0].delta.schema(), leaf_schema);
+  EXPECT_EQ(batches[0].delta.size(), 1u);
+  EXPECT_EQ(*batches[0].delta.Find(Tuple::Ints({5, 6, 11})), 1);
 }
 
 TEST(DeltaBatcherTest, EmitsRelationsInFirstTouchOrder) {

@@ -1,7 +1,7 @@
 // Concurrent reader/writer fuzz over the snapshot server: N reader threads
 // issue point lookups and scans against pinned snapshots while one writer
 // propagates randomized insert/delete batches and publishes each, with
-// merges running inline or on a concurrent merge thread. The invariant under
+// merges running inline on the writer thread. The invariant under
 // test is prefix consistency: every snapshot equals the store state after
 // exactly its pinned prefix of published batches — never a torn batch,
 // never a vanished one. These tests are workload for the TSan/ASan CI jobs.
@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <optional>
-#include <stop_token>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,12 +85,13 @@ struct FuzzResult {
   std::atomic<uint64_t> seq_regressions{0};
 };
 
-/// Runs `batches` published writer batches against `readers` validating
-/// threads. `refs[s]` is the writer-recorded root-store state after batch
-/// s, written *before* the publish that exposes sequence s (the reader
-/// observing seq s through the acquire load therefore reads it race-free).
+/// Runs `batches` published writer batches, with a MergeStep after every
+/// fifth, against `readers` validating threads. `refs[s]` is the
+/// writer-recorded root-store state after batch s, written *before* the
+/// publish that exposes sequence s (the reader observing seq s through the
+/// acquire load therefore reads it race-free).
 void RunFuzz(Fixture& f, Server& server, size_t readers, size_t batches,
-             size_t updates_per_batch, bool inline_merge, FuzzResult& out) {
+             size_t updates_per_batch, FuzzResult& out) {
   std::vector<Rel> refs(batches + 2);
   refs[0] = Rel(f.engine->result());
   std::atomic<bool> done{false};
@@ -149,7 +148,7 @@ void RunFuzz(Fixture& f, Server& server, size_t readers, size_t batches,
       ASSERT_EQ(seq, last + 1);
       last = seq;
     }
-    if (inline_merge && b % 5 == 4) server.MergeStep();
+    if (b % 5 == 4) server.MergeStep();
   }
   done.store(true, std::memory_order_release);
   for (auto& th : reader_threads) th.join();
@@ -164,7 +163,7 @@ TEST(ServeConcurrentTest, ReadersStayPrefixConsistentUnderInlineMerges) {
 
   FuzzResult r;
   RunFuzz(f, server, /*readers=*/4, /*batches=*/120,
-          /*updates_per_batch=*/48, /*inline_merge=*/true, r);
+          /*updates_per_batch=*/48, r);
 
   EXPECT_EQ(r.scan_mismatches.load(), 0u);
   EXPECT_EQ(r.lookup_mismatches.load(), 0u);
@@ -175,40 +174,6 @@ TEST(ServeConcurrentTest, ReadersStayPrefixConsistentUnderInlineMerges) {
   server.MergeNow();
   server.Reclaim();
   auto snap = server.Acquire();
-  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
-}
-
-TEST(ServeConcurrentTest, ReadersStayPrefixConsistentUnderBackgroundMerger) {
-  Fixture f;
-  MergePolicy policy;
-  policy.max_segments = 2;
-  policy.max_diff_keys = 64;
-  Server server(&*f.engine, policy);
-
-  // A test-owned merge thread: folds race the writer's publishes and the
-  // readers' pins.
-  std::jthread merger([&server](std::stop_token stop) {
-    while (!stop.stop_requested()) {
-      if (server.MergeStep() == 0) {
-        server.Reclaim();
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-  });
-  FuzzResult r;
-  RunFuzz(f, server, /*readers=*/4, /*batches=*/120,
-          /*updates_per_batch=*/48, /*inline_merge=*/false, r);
-  merger.request_stop();
-  merger.join();
-
-  EXPECT_EQ(r.scan_mismatches.load(), 0u);
-  EXPECT_EQ(r.lookup_mismatches.load(), 0u);
-  EXPECT_EQ(r.seq_regressions.load(), 0u);
-  EXPECT_GT(r.reader_iterations.load(), 0u);
-
-  server.MergeNow();
-  auto snap = server.Acquire();
-  EXPECT_EQ(snap.segment_count(), 0u);
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
 
@@ -227,22 +192,15 @@ TEST(ServeConcurrentTest, PinnedSnapshotSurvivesMergesAndReclamation) {
   std::optional<Server::Snapshot> pinned(server.Acquire());
   uint64_t freed_before = server.ReclaimedGenerations();
 
-  std::atomic<bool> done{false};
-  std::thread merger([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      server.MergeStep();
-      server.Reclaim();
-    }
-  });
   for (int b = 0; b < 60; ++b) {
     ApplyRandomBatch(f, rng, 32);
     server.Publish();
+    server.MergeStep();
+    server.Reclaim();
     if (b % 10 == 0) {
       ASSERT_TRUE(ContentEquals(pinned->Materialize(), ref0)) << "batch " << b;
     }
   }
-  done.store(true, std::memory_order_release);
-  merger.join();
 
   EXPECT_TRUE(ContentEquals(pinned->Materialize(), ref0));
   EXPECT_EQ(server.ReclaimedGenerations(), freed_before)
