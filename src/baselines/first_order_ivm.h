@@ -64,8 +64,6 @@ class FirstOrderIvm {
     return results_[aggregate];
   }
 
-  size_t aggregate_count() const { return aggregates_.size(); }
-
   /// Stored state: base relations plus result maps (the paper counts these
   /// as "views" for 1-IVM).
   int StoredViewCount() const {

@@ -117,15 +117,6 @@ class RecursiveIvm {
     return bytes;
   }
 
-  /// Debug: lists views as "mask|group_by" strings.
-  std::vector<std::string> ViewSignatures() const {
-    std::vector<std::string> out;
-    for (const ViewDef& v : views_) {
-      out.push_back(std::to_string(v.mask) + "|" + v.group_by.ToString());
-    }
-    return out;
-  }
-
  private:
   struct Plan {
     int relation;

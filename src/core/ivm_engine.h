@@ -58,8 +58,9 @@ struct LeafObs {
 /// leaf-to-root route as a flat vector of resolved steps with precomputed
 /// schemas, position maps, per-join probe strategy, fused marginalization
 /// placement and store-absorb points. PropagateDelta executes those steps;
-/// PrewarmPropagationIndexes and PropagationJoinKey read the same compiled
-/// plan, so execution, prewarming and partitioning can never drift apart
+/// PrewarmPropagationIndexes and the executor's sharding (the plan's
+/// partition positions) read the same compiled plan, so execution,
+/// prewarming and partitioning can never drift apart
 /// (the seed interpreter needed a schema-algebra replay kept in lockstep by
 /// hand). Intermediate delta relations ping-pong through reusable scratch
 /// slots, so repeated batches refill existing entry/index capacity.
@@ -114,8 +115,9 @@ class IvmEngine {
   const LiftingMap<Ring>& lifts() const { return lifts_; }
 
   /// The compiled propagation plans (one per base/indicator leaf). The exec
-  /// layer holds handles into this set; PlanSet::DebugString() dumps every
-  /// route for diffing in bug reports.
+  /// layer holds handles into this set; PropagationPlan::DebugString()
+  /// dumps one route for diffing in bug reports, ExplainAnalyze() every
+  /// route.
   const plan::PlanSet& plans() const { return plans_; }
 
   /// The maintained query result (root view).
@@ -133,7 +135,7 @@ class IvmEngine {
 
   /// Durability hook: overwrites the store of `node` with recovered
   /// checkpoint contents. Like Initialize this bypasses the store-delta
-  /// observer (an attached SnapshotServer must Rebase() afterwards); the
+  /// observer (construct a SnapshotServer after recovery); the
   /// caller (durability::LoadNewestCheckpoint) has already validated that
   /// the image's schema matches this node's store schema.
   void RestoreStore(int node, Relation<Ring>&& contents) {
@@ -306,14 +308,6 @@ class IvmEngine {
     return !tree_->IndicatorLeavesOfRelation(relation).empty();
   }
 
-  /// The join key on which the first sibling join of `relation`'s
-  /// leaf-to-root path matches delta tuples — the natural partitioning key
-  /// for shard-parallel batch propagation (src/exec/parallel_executor.h).
-  /// Read straight off the compiled plan.
-  Schema PropagationJoinKey(int relation) const {
-    return plans_.ForRelation(relation).partition_key();
-  }
-
   /// Builds every sibling-store secondary index that propagation from
   /// `relation`'s leaf probes. Index construction is lazy and not
   /// thread-safe, so concurrent PropagateDelta callers must prewarm first;
@@ -351,8 +345,7 @@ class IvmEngine {
   /// absorbing thread, i.e. the thread applying deltas) with the view node
   /// and the delta *before* it merges into the store. One observer at a
   /// time; pass nullptr to detach. Initialize() fills stores directly and
-  /// does not fire it — serving-layer consumers register afterwards (or
-  /// re-freeze, see serve::SnapshotServer::Rebase).
+  /// does not fire it — construct serving-layer consumers afterwards.
   using StoreDeltaObserver = std::function<void(int, const Relation<Ring>&)>;
   void SetStoreDeltaObserver(StoreDeltaObserver observer) {
     store_delta_observer_ = std::move(observer);
@@ -467,20 +460,6 @@ class IvmEngine {
   }
 
   int StoredViewCount() const { return tree_->MaterializedCount(); }
-
-  /// Human-readable snapshot of every materialized store: name, key count,
-  /// approximate bytes. Useful for inspecting maintenance state.
-  std::string StatsString() const {
-    std::string out;
-    for (size_t i = 0; i < stores_.size(); ++i) {
-      const ViewTree::Node& n = tree_->node(static_cast<int>(i));
-      if (!n.materialized) continue;
-      out += n.name + n.store_schema.ToString() + ": " +
-             std::to_string(stores_[i].size()) + " keys, " +
-             std::to_string(stores_[i].ApproxBytes()) + " bytes\n";
-    }
-    return out;
-  }
 
   /// EXPLAIN ANALYZE: every compiled propagation route, annotated per step
   /// with the observed execution profile — calls, input/output tuples,

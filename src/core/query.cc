@@ -15,12 +15,4 @@ Schema Query::AllVars() const {
   return all;
 }
 
-std::vector<int> Query::RelationsWithVar(VarId v) const {
-  std::vector<int> out;
-  for (size_t i = 0; i < relations_.size(); ++i) {
-    if (relations_[i].schema.Contains(v)) out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
 }  // namespace fivm

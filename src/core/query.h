@@ -44,9 +44,6 @@ class Query {
   /// Bound variables: AllVars minus free.
   Schema BoundVars() const { return AllVars().Minus(free_vars_); }
 
-  /// Indices of relations whose schema contains `v`.
-  std::vector<int> RelationsWithVar(VarId v) const;
-
  private:
   Catalog* catalog_;
   std::vector<RelationDef> relations_;

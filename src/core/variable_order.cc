@@ -334,31 +334,4 @@ VariableOrder VariableOrder::AutoImpl(const Query& q, util::Rng* rng) {
   return vo;
 }
 
-VariableOrder VariableOrder::Chain(const std::vector<VarId>& vars) {
-  VariableOrder vo;
-  int parent = -1;
-  for (VarId v : vars) parent = vo.AddNode(v, parent);
-  return vo;
-}
-
-std::string VariableOrder::ToString(const Catalog& catalog) const {
-  std::string out;
-  std::function<void(int, int)> rec = [&](int n, int indent) {
-    out.append(indent, ' ');
-    out += catalog.NameOf(nodes_[n].var);
-    if (!nodes_[n].relations.empty()) {
-      out += " [";
-      for (size_t i = 0; i < nodes_[n].relations.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "R" + std::to_string(nodes_[n].relations[i]);
-      }
-      out += "]";
-    }
-    out += "\n";
-    for (int c : nodes_[n].children) rec(c, indent + 2);
-  };
-  for (int r : roots_) rec(r, 0);
-  return out;
-}
-
 }  // namespace fivm

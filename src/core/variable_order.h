@@ -56,9 +56,6 @@ class VariableOrder {
   /// order, and available to users for plan-space exploration.
   static VariableOrder AutoRandom(const Query& q, uint64_t seed);
 
-  /// Convenience: a single chain in the given order (must mention all vars).
-  static VariableOrder Chain(const std::vector<VarId>& vars);
-
   const std::vector<Node>& nodes() const { return nodes_; }
   const Node& node(int i) const { return nodes_[i]; }
   const std::vector<int>& roots() const { return roots_; }
@@ -67,8 +64,6 @@ class VariableOrder {
 
   /// Nodes in a top-down (parents before children) order.
   std::vector<int> TopDown() const;
-
-  std::string ToString(const Catalog& catalog) const;
 
  private:
   static VariableOrder AutoImpl(const Query& q, util::Rng* rng);

@@ -369,37 +369,6 @@ std::string ViewTree::ExplainViews() const {
   return out;
 }
 
-std::string ViewTree::ExplainDelta(int relation) const {
-  std::string out;
-  std::vector<int> path = PathToRoot(relation);
-  for (size_t i = 1; i < path.size(); ++i) {
-    const Node& n = nodes_[path[i]];
-    out += "δ" + n.name + SchemaNames(n.out_schema) + " = ";
-    if (!n.marg_vars.empty()) {
-      out += "⊕";
-      for (VarId v : n.marg_vars) out += query_->catalog().NameOf(v);
-      out += " ";
-    }
-    out += "( ";
-    bool first = true;
-    // The delta child first, then the materialized siblings it joins with.
-    {
-      const Node& c = nodes_[path[i - 1]];
-      out += "δ" + c.name + SchemaNames(c.out_schema);
-      first = false;
-    }
-    for (int child : n.children) {
-      if (child == path[i - 1]) continue;
-      const Node& c = nodes_[child];
-      if (!first) out += " ⊗ ";
-      out += c.name + SchemaNames(c.store_schema);
-      first = false;
-    }
-    out += " )\n";
-  }
-  return out;
-}
-
 std::string ViewTree::ToString() const {
   std::string out;
   std::function<void(int, int)> rec = [&](int idx, int indent) {

@@ -103,13 +103,6 @@ class ViewTree {
   /// (the Figure 2b view definitions).
   std::string ExplainViews() const;
 
-  /// Renders the delta rules fired by an update to `relation` — the
-  /// leaf-to-root propagation of Example 4.1:
-  ///   δV@D_T[C]  = ⊕D δT[C,D]
-  ///   δV@C_ST[A] = ⊕C ( δV@D_T[C] ⊗ V@E_S[A,C] )
-  ///   ...
-  std::string ExplainDelta(int relation) const;
-
  private:
   std::string SchemaNames(const Schema& s) const;
   int BuildFromVarOrder(int vo_node, int parent);

@@ -24,16 +24,4 @@ const std::string& Catalog::NameOf(VarId id) const {
   return names_[id];
 }
 
-Schema Catalog::MakeSchema(std::initializer_list<std::string_view> names) {
-  Schema s;
-  for (std::string_view n : names) s.Add(Intern(n));
-  return s;
-}
-
-Schema Catalog::MakeSchema(const std::vector<std::string>& names) {
-  Schema s;
-  for (const std::string& n : names) s.Add(Intern(n));
-  return s;
-}
-
 }  // namespace fivm

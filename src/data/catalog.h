@@ -24,10 +24,6 @@ class Catalog {
 
   const std::string& NameOf(VarId id) const;
 
-  /// Interns a list of names into a Schema, in order.
-  Schema MakeSchema(std::initializer_list<std::string_view> names);
-  Schema MakeSchema(const std::vector<std::string>& names);
-
   size_t size() const { return names_.size(); }
 
  private:

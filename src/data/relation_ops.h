@@ -37,23 +37,6 @@ namespace fivm {
 /// additionally reuse the output relation's entry and index capacity across
 /// calls (plan scratch slots).
 
-/// ⊎: returns left ⊎ right (schemas must match as sets; output uses left's
-/// order).
-template <typename Ring>
-Relation<Ring> Union(const Relation<Ring>& left, const Relation<Ring>& right) {
-  assert(left.schema().SameSet(right.schema()));
-  Relation<Ring> out(left.schema());
-  out.Reserve(left.size() + right.size());
-  left.ForEach([&](const Tuple& k, const typename Ring::Element& p) {
-    out.Add(k, p);
-  });
-  auto positions = right.schema().PositionsOf(left.schema());
-  right.ForEach([&](const Tuple& k, const typename Ring::Element& p) {
-    out.Add(k.Project(positions), p);
-  });
-  return out;
-}
-
 /// ⊕ with a precompiled spec, appending into `out` (which must already carry
 /// spec.out_schema; callers reuse it as a scratch slot via Relation::Reset).
 template <typename Ring>

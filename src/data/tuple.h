@@ -181,15 +181,6 @@ class TupleView {
   /// computed once at construction.
   uint64_t Hash() const { return hash_; }
 
-  /// Materializes the projection into an owning tuple.
-  Tuple ToTuple() const {
-    Tuple out;
-    out.values_.reserve(n_);
-    for (size_t i = 0; i < n_; ++i) out.values_.push_back((*this)[i]);
-    out.hash_ = hash_;
-    return out;
-  }
-
  private:
   const Tuple* base_;
   const uint32_t* positions_;

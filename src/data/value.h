@@ -37,8 +37,6 @@ class Value {
   }
 
   Kind kind() const { return kind_; }
-  bool is_int() const { return kind_ == Kind::kInt; }
-  bool is_double() const { return kind_ == Kind::kDouble; }
 
   /// Integer view; only valid for kInt values.
   int64_t AsInt() const { return i_; }

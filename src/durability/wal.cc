@@ -378,7 +378,6 @@ bool WalReader::Next(WalFrame* frame) {
     }
     buf_pos_ += n;
     prev_lsn_ = frame->lsn;
-    ++frames_read_;
     return true;
   }
 }

@@ -177,7 +177,6 @@ class WalReader {
 
   bool saw_torn_tail() const { return torn_bytes_ > 0; }
   uint64_t torn_bytes() const { return torn_bytes_; }
-  uint64_t frames_read() const { return frames_read_; }
 
  private:
   bool OpenNextSegment();
@@ -190,7 +189,6 @@ class WalReader {
   size_t buf_pos_ = 0;
   uint64_t prev_lsn_ = 0;
   uint64_t torn_bytes_ = 0;
-  uint64_t frames_read_ = 0;
 };
 
 /// Decodes the updates of a frame: fn(Tuple&&, Element&&) per update.

@@ -73,17 +73,6 @@ class ThreadPool {
     if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
   }
 
-  /// Convenience: runs fn(0) … fn(n-1) across the pool.
-  template <typename Fn>
-  void ParallelFor(size_t n, Fn&& fn) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      tasks.push_back([&fn, i] { fn(i); });
-    }
-    RunTasks(std::move(tasks));
-  }
-
  private:
   /// Claims and runs queued tasks until the round's queue is exhausted.
   void Drain() {

@@ -137,8 +137,7 @@ struct ServiceOptions {
   /// MergeStep after each flush (no-op without a server; merge failures
   /// are counted and absorbed — the next merge retries).
   bool merge_each_flush = true;
-  /// Admission policy applied to every relation unless overridden via
-  /// SetQueuePolicy.
+  /// Admission policy applied to every relation's queue.
   QueuePolicy default_queue;
   /// Write-ahead logging mode; anything but kOff requires
   /// AttachDurability() before Start()/PumpOnce().
@@ -202,7 +201,6 @@ class IngestService {
         server_(server),
         opts_(options) {
     queues_.resize(engine_->tree().query().relation_count());
-    for (auto& q : queues_) q.policy = opts_.default_queue;
     if (server_ != nullptr) {
       // Publish runs inside ApplyBatch (after the batch merged into the
       // stores), so an escaping exception would make the apply supervisor
@@ -261,11 +259,6 @@ class IngestService {
   IngestService(const IngestService&) = delete;
   IngestService& operator=(const IngestService&) = delete;
 
-  /// Per-relation admission override; call before producers start.
-  void SetQueuePolicy(int relation, QueuePolicy policy) {
-    queues_[static_cast<size_t>(relation)].policy = policy;
-  }
-
   /// Wires the durability layer in; call before Start()/PumpOnce() and keep
   /// both pointees alive for the service's lifetime. `ckpt` may be null
   /// (WAL-only durability: recovery replays the whole log). The WAL is
@@ -284,12 +277,13 @@ class IngestService {
     const uint64_t now = NowNs();
     std::unique_lock<std::mutex> lk(mu_);
     RelQueue& rq = queues_[static_cast<size_t>(relation)];
+    const QueuePolicy& policy = opts_.default_queue;
     if (!accepting_) {
       Shed(1);
       return false;
     }
-    while (rq.q.size() >= rq.policy.capacity) {
-      switch (rq.policy.admission) {
+    while (rq.q.size() >= policy.capacity) {
+      switch (policy.admission) {
         case AdmissionPolicy::kShedNewest:
           Shed(1);
           return false;
@@ -305,7 +299,7 @@ class IngestService {
         case AdmissionPolicy::kBlock:
           stats_.blocks += 1;
           space_cv_.wait(lk, [&] {
-            return !accepting_ || rq.q.size() < rq.policy.capacity;
+            return !accepting_ || rq.q.size() < policy.capacity;
           });
           if (!accepting_) {
             Shed(1);
@@ -433,7 +427,6 @@ class IngestService {
     uint64_t arrival_ns;
   };
   struct RelQueue {
-    QueuePolicy policy;
     std::deque<Pending> q;
   };
   enum class FlushTrigger { kSize, kDeadline, kDrain };

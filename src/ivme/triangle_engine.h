@@ -255,15 +255,11 @@ class TriangleEngine {
   const Element& result() const { return q_; }
 
   const Stats& stats() const { return stats_; }
-  size_t threshold() const { return theta_; }
   size_t live_tuples() const { return live_total_; }
 
-  /// Live keys in the heavy / light part of `relation`.
+  /// Live keys in the heavy part of `relation`.
   size_t HeavySize(int relation) const {
     return rel_[SlotOf(relation)].heavy.size();
-  }
-  size_t LightSize(int relation) const {
-    return rel_[SlotOf(relation)].light.size();
   }
 
   /// Approximate heap footprint: partitions, auxiliary views, degree and
@@ -276,91 +272,6 @@ class TriangleEngine {
     }
     for (const auto& v : view_) bytes += v.ApproxBytes();
     return bytes;
-  }
-
-  /// Exhaustively verifies internal consistency (test hook, O(N·(θ+deg))):
-  ///   - partitions are disjoint and degree counters match live counts;
-  ///   - heavy/light membership respects the hysteresis band
-  ///     (heavy ⇒ 2·deg ≥ θ, light ⇒ deg < 2θ);
-  ///   - each auxiliary view equals its heavy ⋈ light join recomputed from
-  ///     scratch;
-  ///   - Q equals the brute-force triangle aggregate.
-  /// Returns false and fills `error` on the first violation.
-  bool CheckInvariants(std::string* error) const {
-    size_t live = 0;
-    for (int i = 0; i < 3; ++i) {
-      const Rel& r = rel_[i];
-      live += r.light.size() + r.heavy.size();
-      // Degrees and membership per value.
-      Relation<I64Ring> counts(r.xs);
-      bool ok = true;
-      r.light.ForEach([&](const Tuple& key, const Element&) {
-        Tuple xt = OneTuple(key[r.px]);
-        counts.Add(xt, 1);
-        if (r.heavy_set.Contains(xt)) {
-          ok = false;
-          *error = "light tuple under heavy value in relation " +
-                   std::to_string(i) + ": " + key.ToString();
-        }
-      });
-      r.heavy.ForEach([&](const Tuple& key, const Element&) {
-        Tuple xt = OneTuple(key[r.px]);
-        counts.Add(xt, 1);
-        if (!r.heavy_set.Contains(xt)) {
-          ok = false;
-          *error = "heavy tuple under light value in relation " +
-                   std::to_string(i) + ": " + key.ToString();
-        }
-      });
-      if (!ok) return false;
-      size_t degree_live = 0;
-      counts.ForEach([&](const Tuple& xt, const int64_t& n) {
-        ++degree_live;
-        const int64_t* d = r.degree.Find(xt);
-        if (d == nullptr || *d != n) {
-          ok = false;
-          *error = "degree mismatch in relation " + std::to_string(i) +
-                   " at " + xt.ToString() + ": counted " + std::to_string(n);
-          return;
-        }
-        const bool is_heavy = r.heavy_set.Contains(xt);
-        if (is_heavy && 2 * n < static_cast<int64_t>(theta_)) {
-          ok = false;
-          *error = "heavy value below θ/2 in relation " + std::to_string(i) +
-                   " at " + xt.ToString();
-        }
-        if (!is_heavy && n >= 2 * static_cast<int64_t>(theta_)) {
-          ok = false;
-          *error = "light value at/above 2θ in relation " + std::to_string(i) +
-                   " at " + xt.ToString();
-        }
-      });
-      if (!ok) return false;
-      if (r.degree.size() != degree_live) {
-        *error = "degree map live-key count mismatch in relation " +
-                 std::to_string(i);
-        return false;
-      }
-    }
-    if (live != live_total_) {
-      *error = "live_total mismatch";
-      return false;
-    }
-    // Views.
-    for (int i = 0; i < 3; ++i) {
-      Relation<Ring> expect = RecomputeView(i);
-      if (!SameContents(expect, view_[i], error,
-                        "view " + std::to_string(i))) {
-        return false;
-      }
-    }
-    // Q.
-    Element brute = BruteForceResult();
-    if (!Ring::IsZero(Ring::Add(brute, Ring::Neg(q_)))) {
-      *error = "maintained Q differs from brute-force triangle aggregate";
-      return false;
-    }
-    return true;
   }
 
   /// Human-readable maintenance snapshot.
@@ -377,6 +288,9 @@ class TriangleEngine {
   }
 
  private:
+  /// The test oracles (tests/ivme_equivalence_test.cc) read the partitions.
+  friend struct TriangleEngineTestPeer;
+
   // Major rebalances are spaced by at least this many live-size steps, so
   // near-empty databases don't rebuild on every update.
   static constexpr size_t kMinMajorSpacing = 8;
@@ -565,61 +479,6 @@ class TriangleEngine {
       }
     });
     return out;
-  }
-
-  /// Q from scratch: full triangle join over both parts of every relation.
-  Element BruteForceResult() const {
-    const Rel& r0 = rel_[0];
-    const Rel& r1 = rel_[1];
-    const Rel& r2 = rel_[2];
-    Element q = Ring::Zero();
-    auto scan = [&](const Tuple& key, const Element& p0) {
-      const Value& x = key[r0.px];
-      const Value& y = key[r0.py];
-      auto inner = [&](const Relation<Ring>& part1) {
-        if (const auto* slots = part1.IndexOn(r1.xs).Probe(OneTuple(y))) {
-          for (uint32_t slot : *slots) {
-            const Element& p1 = part1.PayloadAt(slot);
-            if (Ring::IsZero(p1)) continue;
-            const Value& z = part1.KeyAt(slot)[r1.py];
-            Tuple zx = PairKey(r2, z, x);
-            Element acc = Ring::Zero();
-            if (const Element* p = r2.light.Find(zx)) acc = *p;
-            if (const Element* p = r2.heavy.Find(zx)) {
-              Ring::AddInPlace(acc, *p);
-            }
-            if (!Ring::IsZero(acc)) {
-              Ring::AddInPlace(q, Ring::Mul(p0, Ring::Mul(p1, acc)));
-            }
-          }
-        }
-      };
-      inner(r1.light);
-      inner(r1.heavy);
-    };
-    r0.light.ForEach(scan);
-    r0.heavy.ForEach(scan);
-    return q;
-  }
-
-  /// Ring-generic content equality of two relations (a ≡ b iff every key's
-  /// payloads cancel).
-  static bool SameContents(const Relation<Ring>& a, const Relation<Ring>& b,
-                           std::string* error, const std::string& what) {
-    bool ok = true;
-    auto check = [&](const Relation<Ring>& lhs, const Relation<Ring>& rhs) {
-      lhs.ForEach([&](const Tuple& key, const Element& p) {
-        const Element* q = rhs.Find(key);
-        Element other = q ? *q : Ring::Zero();
-        if (!Ring::IsZero(Ring::Add(p, Ring::Neg(other)))) {
-          ok = false;
-          *error = what + " mismatch at " + key.ToString();
-        }
-      });
-    };
-    check(a, b);
-    check(b, a);
-    return ok;
   }
 
   Config cfg_;

@@ -37,19 +37,4 @@ std::string ChainOrder::Render(int i, int j) const {
 
 std::string ChainOrder::Parenthesization() const { return Render(1, n_); }
 
-void ChainOrder::CollectOrder(int i, int j,
-                              std::vector<Product>* out) const {
-  if (i == j) return;
-  int k = split_[Index(i, j)];
-  CollectOrder(i, k, out);
-  CollectOrder(k + 1, j, out);
-  out->push_back(Product{i, j, k});
-}
-
-std::vector<ChainOrder::Product> ChainOrder::EvaluationOrder() const {
-  std::vector<Product> out;
-  CollectOrder(1, n_, &out);
-  return out;
-}
-
 }  // namespace fivm::linalg

@@ -19,27 +19,14 @@ class ChainOrder {
   /// Minimal multiplication cost of computing A_1 ... A_n.
   uint64_t OptimalCost() const { return cost_[Index(1, n_)]; }
 
-  /// The split point k for the subchain A_i..A_j (1-based, i <= k < j).
-  int SplitOf(int i, int j) const { return split_[Index(i, j)]; }
-
-  int chain_length() const { return n_; }
-
   /// Parenthesized rendering, e.g. "((A1 A2) A3)".
   std::string Parenthesization() const;
-
-  /// The order in which pairwise products are performed: a list of (i, j, k)
-  /// subchains, children before parents.
-  struct Product {
-    int i, j, k;
-  };
-  std::vector<Product> EvaluationOrder() const;
 
  private:
   size_t Index(int i, int j) const {
     return static_cast<size_t>(i) * (n_ + 1) + j;
   }
   std::string Render(int i, int j) const;
-  void CollectOrder(int i, int j, std::vector<Product>* out) const;
 
   int n_;
   std::vector<uint64_t> dims_;

@@ -4,12 +4,6 @@
 
 namespace fivm::linalg {
 
-Matrix LowRankFactorization::Expand(size_t rows, size_t cols) const {
-  Matrix out(rows, cols);
-  for (size_t k = 0; k < us.size(); ++k) out.AddOuter(us[k], vs[k]);
-  return out;
-}
-
 LowRankFactorization FactorizeLowRank(const Matrix& a, size_t max_rank,
                                       double tol) {
   LowRankFactorization f;

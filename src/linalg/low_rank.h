@@ -14,9 +14,6 @@ struct LowRankFactorization {
   std::vector<Vector> us;  // column factors
   std::vector<Vector> vs;  // row factors
   size_t rank() const { return us.size(); }
-
-  /// Reassembles Σ u_i v_i^T (for tests / fallback paths).
-  Matrix Expand(size_t rows, size_t cols) const;
 };
 
 /// Greedy cross (rank-1 peeling) factorization: repeatedly subtracts the

@@ -19,20 +19,6 @@ Matrix Matrix::RandomOfRank(size_t rows, size_t cols, size_t rank,
   return Multiply(u, v);
 }
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t j = 0; j < cols_; ++j) t.at(j, i) = at(i, j);
-  }
-  return t;
-}
-
 void Matrix::Add(const Matrix& other, double scale) {
   assert(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
@@ -45,15 +31,6 @@ void Matrix::AddOuter(const Vector& u, const Vector& v, double scale) {
     double* r = row(i);
     for (size_t j = 0; j < cols_; ++j) r[j] += ui * v[j];
   }
-}
-
-double Matrix::MaxAbsDiff(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  double max = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    max = std::max(max, std::fabs(data_[i] - other.data_[i]));
-  }
-  return max;
 }
 
 double Matrix::FrobeniusNorm() const {
@@ -109,13 +86,6 @@ Vector VecMultiply(const Vector& x, const Matrix& a) {
     for (size_t j = 0; j < a.cols(); ++j) y[j] += xi * r[j];
   }
   return y;
-}
-
-double Dot(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
 }
 
 }  // namespace fivm::linalg

@@ -39,24 +39,12 @@ class Matrix {
   static Matrix RandomOfRank(size_t rows, size_t cols, size_t rank,
                              util::Rng& rng);
 
-  static Matrix Identity(size_t n);
-
-  Matrix Transposed() const;
-
   void Add(const Matrix& other, double scale = 1.0);
 
   /// this += u * v^T.
   void AddOuter(const Vector& u, const Vector& v, double scale = 1.0);
 
-  /// Max absolute element difference.
-  double MaxAbsDiff(const Matrix& other) const;
-
   double FrobeniusNorm() const;
-
-  bool ApproxEquals(const Matrix& other, double tol = 1e-9) const {
-    return rows_ == other.rows_ && cols_ == other.cols_ &&
-           MaxAbsDiff(other) <= tol;
-  }
 
   size_t ApproxBytes() const { return data_.capacity() * sizeof(double); }
 
@@ -73,8 +61,6 @@ Vector MultiplyVec(const Matrix& a, const Vector& x);
 
 /// y^T = x^T * A, returned as a vector (O(n^2)).
 Vector VecMultiply(const Vector& x, const Matrix& a);
-
-double Dot(const Vector& a, const Vector& b);
 
 }  // namespace fivm::linalg
 

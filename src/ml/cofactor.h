@@ -96,21 +96,6 @@ inline std::vector<ScalarAggregateSpec> ScalarRegressionAggregates(
   return out;
 }
 
-/// Trains one model per group from a group-by cofactor view (Example 1.1:
-/// "one model f for each pair of values (A,C)"). Each key of `grouped` maps
-/// to the sufficient statistics of its group; training never revisits the
-/// data.
-inline std::vector<std::pair<Tuple, TrainResult>> TrainPerGroup(
-    const Relation<RegressionRing>& grouped,
-    const std::vector<uint32_t>& feature_slots, uint32_t label_slot) {
-  std::vector<std::pair<Tuple, TrainResult>> models;
-  grouped.ForEach([&](const Tuple& key, const RegressionPayload& payload) {
-    models.emplace_back(key,
-                        SolveLeastSquares(payload, feature_slots, label_slot));
-  });
-  return models;
-}
-
 }  // namespace fivm::ml
 
 #endif  // FIVM_ML_COFACTOR_H_

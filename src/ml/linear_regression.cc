@@ -152,16 +152,4 @@ TrainResult SolveLeastSquares(const RegressionPayload& payload,
   return result;
 }
 
-double MeanSquaredError(const RegressionPayload& payload,
-                        const std::vector<uint32_t>& feature_slots,
-                        uint32_t label_slot,
-                        const std::vector<double>& theta) {
-  std::vector<std::vector<double>> a;
-  std::vector<double> b;
-  BuildSystem(payload, feature_slots, label_slot, &a, &b);
-  double yty = payload.Cofactor(label_slot, label_slot);
-  double n = payload.count();
-  return n > 0 ? Quadratic(a, b, yty, theta) / n : 0.0;
-}
-
 }  // namespace fivm::ml

@@ -42,12 +42,6 @@ TrainResult SolveLeastSquares(const RegressionPayload& payload,
                               const std::vector<uint32_t>& feature_slots,
                               uint32_t label_slot);
 
-/// Mean squared error of `theta` (bias-first layout) on the dataset
-/// summarized by `payload`.
-double MeanSquaredError(const RegressionPayload& payload,
-                        const std::vector<uint32_t>& feature_slots,
-                        uint32_t label_slot, const std::vector<double>& theta);
-
 }  // namespace fivm::ml
 
 #endif  // FIVM_ML_LINEAR_REGRESSION_H_

@@ -1,6 +1,5 @@
 #include "src/obs/export.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -37,20 +36,6 @@ void AppendDouble(std::string* out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f", v);
   *out += buf;
-}
-
-std::string Sanitize(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == ':')) {
-      c = '_';
-    }
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0]))) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
 }
 
 }  // namespace
@@ -100,37 +85,6 @@ std::string ToJson(const MetricsSnapshot& snap) {
     out += '}';
   }
   out += "}}";
-  return out;
-}
-
-std::string ToPrometheus(const MetricsSnapshot& snap) {
-  std::string out;
-  for (const auto& [name, v] : snap.counters) {
-    const std::string n = Sanitize(name);
-    out += "# TYPE " + n + " counter\n";
-    out += n + ' ' + std::to_string(v) + '\n';
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    const std::string n = Sanitize(name);
-    out += "# TYPE " + n + " gauge\n";
-    out += n + ' ' + std::to_string(v) + '\n';
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    const std::string n = Sanitize(name);
-    out += "# TYPE " + n + " summary\n";
-    const struct {
-      const char* q;
-      double v;
-    } quantiles[] = {{"0.5", h.p50}, {"0.99", h.p99}, {"0.999", h.p999}};
-    for (const auto& q : quantiles) {
-      out += n + "{quantile=\"" + q.q + "\"} ";
-      AppendDouble(&out, q.v);
-      out += '\n';
-    }
-    out += n + "_sum " + std::to_string(h.sum) + '\n';
-    out += n + "_count " + std::to_string(h.count) + '\n';
-    out += n + "_max " + std::to_string(h.max) + '\n';
-  }
   return out;
 }
 

@@ -129,10 +129,6 @@ PropagationPlan PropagationPlan::Compile(const ViewTree& tree, int leaf,
   return p;
 }
 
-std::string PropagationPlan::DebugString(const ViewTree& tree) const {
-  return DebugString(tree, nullptr);
-}
-
 std::string PropagationPlan::DebugString(
     const ViewTree& tree,
     const std::function<std::string(size_t)>& annotate) const {
@@ -195,14 +191,6 @@ PlanSet PlanSet::Compile(const ViewTree& tree,
         PropagationPlan::Compile(tree, static_cast<int>(i), is_trivial));
   }
   return set;
-}
-
-std::string PlanSet::DebugString() const {
-  std::string out;
-  for (const PropagationPlan& p : plans_) {
-    out += p.DebugString(*tree_);
-  }
-  return out;
 }
 
 }  // namespace fivm::plan

@@ -80,13 +80,11 @@ class PropagationPlan {
   const Schema& leaf_schema() const { return leaf_schema_; }
   const std::vector<PropagationStep>& steps() const { return steps_; }
 
-  /// The join key on which the first sibling join matches delta tuples —
-  /// the natural partitioning key for shard-parallel batch propagation.
-  /// Restricted to the leaf's out-schema; falls back to the full out-schema
-  /// when no sibling join shares a leaf variable.
-  const Schema& partition_key() const { return partition_key_; }
-  /// Positions of partition_key within leaf_schema (precomputed for the
-  /// shard partitioner).
+  /// Positions within leaf_schema of the partition key: the join key on
+  /// which the first sibling join matches delta tuples, the natural
+  /// partitioning key for shard-parallel batch propagation. Restricted to
+  /// the leaf's out-schema; falls back to the full out-schema when no
+  /// sibling join shares a leaf variable.
   const util::SmallVector<uint32_t, 6>& partition_positions() const {
     return partition_positions_;
   }
@@ -105,16 +103,13 @@ class PropagationPlan {
 
   /// Human-readable dump of the compiled route — one line per step with
   /// view names, schemas, join kinds and probe keys — so a plan can be
-  /// diffed against another engine's in bug reports.
-  std::string DebugString(const ViewTree& tree) const;
-
-  /// Annotated variant: `annotate(i)` is appended to the line of step `i`
-  /// (0-based, in steps() order). IvmEngine::ExplainAnalyze uses this to
-  /// turn the static route dump into a profile with observed per-step
-  /// time/tuples/allocations.
+  /// diffed against another engine's in bug reports. `annotate(i)`, when
+  /// set, is appended to the line of step `i` (0-based, in steps() order):
+  /// IvmEngine::ExplainAnalyze uses it to turn the static route dump into
+  /// a profile with observed per-step time/tuples/allocations.
   std::string DebugString(
       const ViewTree& tree,
-      const std::function<std::string(size_t)>& annotate) const;
+      const std::function<std::string(size_t)>& annotate = nullptr) const;
 
  private:
   int leaf_ = -1;
@@ -159,8 +154,6 @@ class PlanSet {
 
   /// All compiled plans, in leaf-node order.
   const std::vector<PropagationPlan>& plans() const { return plans_; }
-
-  std::string DebugString() const;
 
  private:
   const ViewTree* tree_ = nullptr;

@@ -55,10 +55,11 @@ struct MergePolicy {
 ///    O(|base|). The spare is mutated only once no reader can reach it:
 ///    the epoch rule that frees VersionSets (every set referencing it
 ///    retired before MinPinned()) marks it drained. A merge clones the
-///    installed base instead — with a small fixed pool headroom — when
-///    there is no drained spare (the first merge, a spare still pinned by
-///    a long-lived snapshot or checkpoint, after Rebase() or an aborted
-///    install) or when the fold could overflow the spare's pool capacity.
+///    installed base instead — with a small fixed pool headroom — for one
+///    of three causes: there is no spare (the first merge, or the one after
+///    an aborted install), the spare is still pinned by a long-lived
+///    snapshot or checkpoint, or the fold could overflow the spare's pool
+///    capacity.
 ///    Memory therefore holds two base generations in steady state;
 ///    ClonedGenerations() counts the clone path.
 ///
@@ -72,7 +73,7 @@ struct MergePolicy {
 /// has the full memory-order argument).
 ///
 /// Threading contract: single writer. Deltas, Publish(), the merges,
-/// Rebase(), Reclaim() and RetiredCount() are writer-side calls, and the
+/// Reclaim() and RetiredCount() are writer-side calls, and the
 /// caller must never run two of them at the same time — the writer owns
 /// every mutable field, so the server takes no lock. A merge never waits
 /// for a reader: it reads the current set directly, which only the writer
@@ -81,7 +82,7 @@ struct MergePolicy {
 /// readers up to EpochRegistry::kMaxReaders live snapshots. The server
 /// registers itself as the engine's store-delta observer for its lifetime
 /// and must outlive every Snapshot it hands out. Engine::Initialize
-/// bypasses the observer — construct the server afterwards, or Rebase().
+/// bypasses the observer — construct the server afterwards.
 template <typename Ring>
 class SnapshotServer {
  public:
@@ -246,12 +247,6 @@ class SnapshotServer {
       return have && !Ring::IsZero(*out);
     }
 
-    template <typename K>
-    bool Contains(const K& key, size_t store = 0) const {
-      Element scratch;
-      return Lookup(key, &scratch, store);
-    }
-
     /// Full scan of (base ⊎ differential): `fn(const Tuple&, const
     /// Element&)` once per live key with its summed payload. Keys claimed
     /// by any segment are emitted in the segment pass (combined across
@@ -413,7 +408,6 @@ class SnapshotServer {
     for (auto& [epoch, set] : retired_) {
       if (epoch < min_pinned) {
         delete set;
-        stats_reclaimed_versions_.fetch_add(1, std::memory_order_relaxed);
       } else {
         retired_[kept++] = {epoch, set};
       }
@@ -439,35 +433,6 @@ class SnapshotServer {
     }
   }
 
-  /// Re-freezes every served base from the engine's current stores,
-  /// dropping all segments, staged state and merge spares
-  /// (IvmEngine::Initialize fills stores without firing the delta observer
-  /// — call this after it). Writer-side.
-  void Rebase() {
-    auto* next = new VersionSet();
-    next->seq = current_.load(std::memory_order_relaxed)->seq + 1;
-    next->stores.resize(nodes_.size());
-    std::vector<std::shared_ptr<Rel>> bases(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      bases[i] = std::make_shared<Rel>(engine_->store(nodes_[i]));
-      next->stores[i].base = bases[i];
-      staging_[i] = Rel(engine_->store(nodes_[i]).schema());
-      dirty_[i] = 0;
-    }
-    const uint64_t retire_epoch = Install(next);
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      FoldState& fs = folds_[i];
-      // Neither the displaced base nor the spare is folded into again;
-      // both drain like any retired generation.
-      draining_.emplace_back(retire_epoch, std::move(fs.live));
-      DropSpare(fs);
-      fs.live = std::move(bases[i]);
-    }
-  }
-
-  const MergePolicy& policy() const { return policy_; }
-  void set_policy(const MergePolicy& p) { policy_ = p; }
-
   /// Server-local statistics, live in every build config; the registry
   /// exports them as serve.* gauges. Atomic-backed: safe from any thread.
   uint64_t PublishCount() const {
@@ -478,9 +443,6 @@ class SnapshotServer {
   }
   uint64_t MergedKeys() const {
     return stats_merged_keys_.load(std::memory_order_relaxed);
-  }
-  uint64_t ReclaimedVersions() const {
-    return stats_reclaimed_versions_.load(std::memory_order_relaxed);
   }
   /// Displaced base generations released after every VersionSet and
   /// snapshot that could reach them drained: freed, or taken back as the
@@ -697,7 +659,6 @@ class SnapshotServer {
   std::atomic<uint64_t> stats_publishes_{0};
   std::atomic<uint64_t> stats_merges_{0};
   std::atomic<uint64_t> stats_merged_keys_{0};
-  std::atomic<uint64_t> stats_reclaimed_versions_{0};
   std::atomic<uint64_t> stats_reclaimed_generations_{0};
   std::atomic<uint64_t> stats_cloned_generations_{0};
   std::atomic<size_t> segment_count_{0};

@@ -319,18 +319,6 @@ class GroupTable {
     }
   }
 
-  /// Claims a slot for a key the caller guarantees absent (bulk loads,
-  /// rehash fills): single pass, no key comparisons.
-  template <typename HashOf>
-  Slot* InsertUnique(uint64_t hash, HashOf&& hash_of) {
-    if (NeedsGrowth()) RehashForGrowth(hash_of);
-    size_t i = FindInsertIndex(hash);
-    if (ctrl_[i] == kCtrlDeleted) --deleted_;
-    ctrl_[i] = GroupH2(hash);
-    ++size_;
-    return &slots_[i];
-  }
-
   /// Erases the slot matching (`hash`, `eq`). Returns false when absent.
   template <typename Eq>
   bool Erase(uint64_t hash, Eq&& eq) {

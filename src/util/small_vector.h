@@ -36,7 +36,10 @@ class SmallVector {
   using iterator = T*;
   using const_iterator = const T*;
 
-  SmallVector() {}
+  // Stores a null heap pointer although the vector starts inline: the
+  // union then never holds an unwritten pointer, which GCC cannot tell
+  // from Destroy's guarded read once the object's address escapes.
+  SmallVector() : heap_(nullptr) {}
 
   explicit SmallVector(size_t n) { resize(n); }
 

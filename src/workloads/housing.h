@@ -42,8 +42,6 @@ class HousingDataset {
 
   std::vector<std::vector<Tuple>> tuples;
 
-  int AttributeCount() const { return static_cast<int>(catalog.size()); }
-
  private:
   HousingDataset() = default;
 };

@@ -46,9 +46,6 @@ class RetailerDataset {
   /// Generated tuples per relation (aligned with query relation indices).
   std::vector<std::vector<Tuple>> tuples;
 
-  /// Total attribute count (43, as in the paper).
-  int AttributeCount() const { return static_cast<int>(catalog.size()); }
-
  private:
   RetailerDataset() = default;
 };

@@ -75,7 +75,7 @@ TEST(CofactorE2ETest, HousingStreamMatchesDirectComputation) {
   RegressionPayload expected = DirectCofactor(*ds->query, mirror, slots);
 
   EXPECT_DOUBLE_EQ(got->count(), expected.count());
-  uint32_t m = static_cast<uint32_t>(ds->AttributeCount());
+  uint32_t m = static_cast<uint32_t>(ds->catalog.size());
   for (uint32_t i = 0; i < m; ++i) {
     EXPECT_NEAR(got->Sum(i), expected.Sum(i),
                 1e-6 * (1.0 + std::fabs(expected.Sum(i))))
@@ -123,7 +123,7 @@ TEST(CofactorE2ETest, SparseEncodingAgreesWithDense) {
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_DOUBLE_EQ(a->count(), b->count());
-  uint32_t m = static_cast<uint32_t>(ds->AttributeCount());
+  uint32_t m = static_cast<uint32_t>(ds->catalog.size());
   for (uint32_t i = 0; i < m; ++i) {
     EXPECT_NEAR(a->Sum(i), b->Sum(i), 1e-6 * (1.0 + std::fabs(a->Sum(i))));
     for (uint32_t j = i; j < m; ++j) {
@@ -168,7 +168,7 @@ TEST(CofactorE2ETest, DbtRingAgreesWithFIvm) {
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_DOUBLE_EQ(a->count(), b->count());
-  uint32_t m = static_cast<uint32_t>(ds->AttributeCount());
+  uint32_t m = static_cast<uint32_t>(ds->catalog.size());
   for (uint32_t i = 0; i < m; ++i) {
     for (uint32_t j = i; j < m; ++j) {
       EXPECT_NEAR(a->Cofactor(i, j), b->Cofactor(i, j),

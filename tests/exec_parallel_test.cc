@@ -204,10 +204,10 @@ TEST(ExecParallelTest, HousingStarFusedJoinEquivalence) {
                                         ml::RegressionLiftings(query, slots));
     IvmEngine<RegressionRing> batched(&tree,
                                       ml::RegressionLiftings(query, slots));
-    for (const plan::PropagationStep& s :
-         batched.plans().ForRelation(0).steps()) {
+    const plan::PropagationPlan& route = batched.plans().ForRelation(0);
+    for (const plan::PropagationStep& s : route.steps()) {
       if (s.kind != plan::PropagationStep::Kind::kJoin) continue;
-      ASSERT_EQ(s.links.size(), 5u) << batched.plans().DebugString();
+      ASSERT_EQ(s.links.size(), 5u) << route.DebugString(tree);
     }
     Database<RegressionRing> empty = MakeDatabase<RegressionRing>(query);
     reference.Initialize(empty);
@@ -285,8 +285,8 @@ TEST(ExecParallelTest, IndicatorTreesFallBackToSequential) {
 TEST(ExecParallelTest, DisconnectedQueryCartesianJoinEquivalence) {
   // Q = R(A,B) ⊗ S(C,D) with disjoint variables: the virtual root joins
   // the components as a Cartesian product, so the first sibling join of
-  // every propagation path has an empty key and PropagationJoinKey must
-  // fall back to the leaf's own schema (and never emit positions outside
+  // every propagation path has an empty key and the plan's partition key
+  // must fall back to the leaf's own schema (and never emit positions outside
   // it).
   Catalog catalog;
   Query query(&catalog);
@@ -306,9 +306,11 @@ TEST(ExecParallelTest, DisconnectedQueryCartesianJoinEquivalence) {
   tree.MaterializeAll();
   IvmEngine<I64Ring> probe(&tree, {});
   for (int r = 0; r < query.relation_count(); ++r) {
-    Schema key = probe.PropagationJoinKey(r);
-    EXPECT_TRUE(
-        tree.node(tree.LeafOfRelation(r)).out_schema.ContainsAll(key));
+    const size_t leaf_arity =
+        tree.node(tree.LeafOfRelation(r)).out_schema.size();
+    for (uint32_t pos : probe.plans().ForRelation(r).partition_positions()) {
+      EXPECT_LT(pos, leaf_arity);
+    }
   }
 
   auto stream = RandomStream(query, 2000, 8, /*seed=*/41);
@@ -321,7 +323,7 @@ TEST(ExecParallelTest, DisconnectedQueryCartesianJoinEquivalence) {
                    /*threads=*/4);
 }
 
-TEST(ExecParallelTest, PropagationJoinKeyAndPrewarmCoverTrianglePath) {
+TEST(ExecParallelTest, PartitionKeyAndPrewarmCoverTrianglePath) {
   workloads::TwitterConfig cfg;
   cfg.nodes = 30;
   cfg.edges = 200;
@@ -341,12 +343,12 @@ TEST(ExecParallelTest, PropagationJoinKeyAndPrewarmCoverTrianglePath) {
   engine.Initialize(db);
 
   for (int r = 0; r < query.relation_count(); ++r) {
-    Schema key = engine.PropagationJoinKey(r);
+    const auto& key = engine.plans().ForRelation(r).partition_positions();
     EXPECT_FALSE(key.empty());
     // The partition key must be computable from the leaf's out-schema.
     const Schema& leaf =
         tree.node(tree.LeafOfRelation(r)).out_schema;
-    EXPECT_TRUE(leaf.ContainsAll(key));
+    for (uint32_t pos : key) EXPECT_LT(pos, leaf.size());
     engine.PrewarmPropagationIndexes(r);
   }
 }

@@ -99,8 +99,8 @@ TEST(IndicatorTest, TriangleGetsIndicatorProjection) {
 TEST(IndicatorTest, AcyclicQueryGetsNoIndicators) {
   Catalog catalog;
   Query q(&catalog);
-  q.AddRelation("R", catalog.MakeSchema({"A", "B"}));
-  q.AddRelation("S", catalog.MakeSchema({"B", "C"}));
+  q.AddRelation("R", Schema{catalog.Intern("A"), catalog.Intern("B")});
+  q.AddRelation("S", Schema{catalog.Intern("B"), catalog.Intern("C")});
   VariableOrder vo = VariableOrder::Auto(q);
   ViewTree tree(&q, &vo);
   EXPECT_EQ(tree.AddIndicatorProjections(), 0);

@@ -474,52 +474,60 @@ TEST(IngestServiceTest, ExportedCountersEqualTheirOwners) {
     MetricsOff() { obs::SetEnabled(false); }
     ~MetricsOff() { obs::SetEnabled(true); }
   } metrics_off;
-  ServiceOptions opts;
-  opts.flush_updates = 256;
-  opts.retry_backoff = std::chrono::microseconds(1);
-  Pipeline p(opts);
-  // Batches of 100 distinct keys take the parallel path, where the
-  // exec.task failpoint sits.
-  p.service->SetQueuePolicy(0, {AdmissionPolicy::kShedNewest, 100});
-  p.service->SetQueuePolicy(1, {AdmissionPolicy::kDropOldest, 100});
-  for (int64_t i = 0; i < 120; ++i) {
-    p.service->Offer(0, Tuple::Ints({i, i % 3}), 1);
-    p.service->Offer(1, Tuple::Ints({i % 3, i}), 1);
-  }
-  auto& fp = util::FailPointRegistry::Default();
-  fp.Arm("batcher.flush", 1.0, /*seed=*/41, /*max_fires=*/2);
-  fp.Arm("exec.task", 1.0, /*seed=*/42, /*max_fires=*/2);
-  fp.Arm("serve.publish", 1.0, /*seed=*/43, /*max_fires=*/2);
-  p.service->DrainNow();
-  fp.DisarmAll();
-  p.server->MergeNow();
+  // Each lossy admission policy in turn, applied to both relations.
+  for (AdmissionPolicy admission :
+       {AdmissionPolicy::kShedNewest, AdmissionPolicy::kDropOldest}) {
+    SCOPED_TRACE(admission == AdmissionPolicy::kShedNewest ? "shed newest"
+                                                            : "drop oldest");
+    ServiceOptions opts;
+    opts.flush_updates = 256;
+    opts.retry_backoff = std::chrono::microseconds(1);
+    opts.default_queue = {admission, 100};
+    Pipeline p(opts);
+    // Batches of 100 distinct keys take the parallel path, where the
+    // exec.task failpoint sits.
+    for (int64_t i = 0; i < 120; ++i) {
+      p.service->Offer(0, Tuple::Ints({i, i % 3}), 1);
+      p.service->Offer(1, Tuple::Ints({i % 3, i}), 1);
+    }
+    auto& fp = util::FailPointRegistry::Default();
+    fp.Arm("batcher.flush", 1.0, /*seed=*/41, /*max_fires=*/2);
+    fp.Arm("exec.task", 1.0, /*seed=*/42, /*max_fires=*/2);
+    fp.Arm("serve.publish", 1.0, /*seed=*/43, /*max_fires=*/2);
+    p.service->DrainNow();
+    fp.DisarmAll();
+    p.server->MergeNow();
 
-  const IngestStats st = p.service->GetStats();
-  EXPECT_GT(st.shed, 0u);
-  EXPECT_GT(st.dropped, 0u);
-  EXPECT_GT(st.flush_retries, 0u);
-  EXPECT_GT(st.apply_retries, 0u);
-  EXPECT_GT(st.publish_retries, 0u);
-  const obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
-  const std::pair<const char*, uint64_t> expected[] = {
-      {"ingest.admitted", st.admitted},
-      {"ingest.shed", st.shed},
-      {"ingest.dropped", st.dropped},
-      {"ingest.blocks", st.blocks},
-      {"ingest.flushes", st.flushes},
-      {"ingest.retries", st.flush_retries + st.apply_retries +
-                             st.publish_retries + st.wal_retries},
-      {"ingest.degrade_transitions", st.degrade_enters + st.degrade_exits},
-      {"ingest.wal_appended", st.wal_appended},
-      {"ingest.wal_failed_windows", st.wal_failed_windows},
-      {"ingest.checkpoints", st.checkpoints},
-      {"serve.publishes", p.server->PublishCount()},
-      {"serve.merges", p.server->MergeCount()},
-  };
-  for (const auto& [name, value] : expected) {
-    EXPECT_EQ(Exported(snap, name), std::optional<uint64_t>(value)) << name;
+    const IngestStats st = p.service->GetStats();
+    if (admission == AdmissionPolicy::kShedNewest) {
+      EXPECT_GT(st.shed, 0u);
+    } else {
+      EXPECT_GT(st.dropped, 0u);
+    }
+    EXPECT_GT(st.flush_retries, 0u);
+    EXPECT_GT(st.apply_retries, 0u);
+    EXPECT_GT(st.publish_retries, 0u);
+    const obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
+    const std::pair<const char*, uint64_t> expected[] = {
+        {"ingest.admitted", st.admitted},
+        {"ingest.shed", st.shed},
+        {"ingest.dropped", st.dropped},
+        {"ingest.blocks", st.blocks},
+        {"ingest.flushes", st.flushes},
+        {"ingest.retries", st.flush_retries + st.apply_retries +
+                               st.publish_retries + st.wal_retries},
+        {"ingest.degrade_transitions", st.degrade_enters + st.degrade_exits},
+        {"ingest.wal_appended", st.wal_appended},
+        {"ingest.wal_failed_windows", st.wal_failed_windows},
+        {"ingest.checkpoints", st.checkpoints},
+        {"serve.publishes", p.server->PublishCount()},
+        {"serve.merges", p.server->MergeCount()},
+    };
+    for (const auto& [name, value] : expected) {
+      EXPECT_EQ(Exported(snap, name), std::optional<uint64_t>(value)) << name;
+    }
+    EXPECT_GT(p.server->MergeCount(), 0u);
   }
-  EXPECT_GT(p.server->MergeCount(), 0u);
 }
 
 }  // namespace

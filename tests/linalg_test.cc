@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/linalg/chain_order.h"
 #include "src/linalg/dense_chain_ivm.h"
 #include "src/linalg/low_rank.h"
@@ -21,6 +23,38 @@ Matrix NaiveMultiply(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+Matrix Identity(size_t n) {
+  Matrix m(n, n);
+  for (size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
+  return m;
+}
+
+Matrix Transposed(const Matrix& a) {
+  Matrix t(a.cols(), a.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) t.at(j, i) = a.at(i, j);
+  }
+  return t;
+}
+
+/// Reassembles Σ u_i v_i^T.
+Matrix Expand(const LowRankFactorization& f, size_t rows, size_t cols) {
+  Matrix out(rows, cols);
+  for (size_t k = 0; k < f.rank(); ++k) out.AddOuter(f.us[k], f.vs[k]);
+  return out;
+}
+
+/// Same shape, and no element differs by more than `tol`.
+bool ApproxEquals(const Matrix& a, const Matrix& b, double tol = 1e-9) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) {
+      if (std::fabs(a.at(i, j) - b.at(i, j)) > tol) return false;
+    }
+  }
+  return true;
+}
+
 TEST(MatrixTest, MultiplyMatchesNaive) {
   util::Rng rng(1);
   for (auto [n, k, m] : {std::tuple<int, int, int>{3, 4, 5},
@@ -29,15 +63,15 @@ TEST(MatrixTest, MultiplyMatchesNaive) {
                          {100, 1, 100}}) {
     Matrix a = Matrix::Random(n, k, rng);
     Matrix b = Matrix::Random(k, m, rng);
-    EXPECT_TRUE(Multiply(a, b).ApproxEquals(NaiveMultiply(a, b), 1e-9));
+    EXPECT_TRUE(ApproxEquals(Multiply(a, b), NaiveMultiply(a, b), 1e-9));
   }
 }
 
 TEST(MatrixTest, IdentityIsNeutral) {
   util::Rng rng(2);
   Matrix a = Matrix::Random(8, 8, rng);
-  EXPECT_TRUE(Multiply(a, Matrix::Identity(8)).ApproxEquals(a));
-  EXPECT_TRUE(Multiply(Matrix::Identity(8), a).ApproxEquals(a));
+  EXPECT_TRUE(ApproxEquals(Multiply(a, Identity(8)), a));
+  EXPECT_TRUE(ApproxEquals(Multiply(Identity(8), a), a));
 }
 
 TEST(MatrixTest, MultiplyVecMatchesMatrix) {
@@ -58,7 +92,7 @@ TEST(MatrixTest, VecMultiplyMatchesTranspose) {
   Matrix a = Matrix::Random(5, 7, rng);
   Vector x{1.0, 2.0, 3.0, 4.0, 5.0};
   Vector y = VecMultiply(x, a);
-  Vector y2 = MultiplyVec(a.Transposed(), x);
+  Vector y2 = MultiplyVec(Transposed(a), x);
   for (size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], y2[i], 1e-12);
 }
 
@@ -72,7 +106,7 @@ TEST(MatrixTest, AddOuter) {
 TEST(MatrixTest, TransposeRoundTrip) {
   util::Rng rng(5);
   Matrix a = Matrix::Random(4, 9, rng);
-  EXPECT_TRUE(a.Transposed().Transposed().ApproxEquals(a));
+  EXPECT_TRUE(ApproxEquals(Transposed(Transposed(a)), a));
 }
 
 TEST(LowRankTest, ExactForRank1) {
@@ -80,7 +114,7 @@ TEST(LowRankTest, ExactForRank1) {
   Matrix a = Matrix::RandomOfRank(20, 30, 1, rng);
   auto f = FactorizeLowRank(a);
   EXPECT_EQ(f.rank(), 1u);
-  EXPECT_TRUE(f.Expand(20, 30).ApproxEquals(a, 1e-8));
+  EXPECT_TRUE(ApproxEquals(Expand(f, 20, 30), a, 1e-8));
 }
 
 TEST(LowRankTest, RecoversTrueRank) {
@@ -89,7 +123,7 @@ TEST(LowRankTest, RecoversTrueRank) {
     Matrix a = Matrix::RandomOfRank(40, 40, r, rng);
     auto f = FactorizeLowRank(a, SIZE_MAX, 1e-8);
     EXPECT_EQ(f.rank(), r) << "rank " << r;
-    EXPECT_TRUE(f.Expand(40, 40).ApproxEquals(a, 1e-6)) << "rank " << r;
+    EXPECT_TRUE(ApproxEquals(Expand(f, 40, 40), a, 1e-6)) << "rank " << r;
   }
 }
 
@@ -123,15 +157,6 @@ TEST(ChainOrderTest, SquareChainIsLeftToRight) {
   EXPECT_EQ(order.OptimalCost(), 2u * 8u * 8u * 8u);
 }
 
-TEST(ChainOrderTest, EvaluationOrderIsBottomUp) {
-  ChainOrder order({30, 35, 15, 5, 10, 20, 25});
-  auto prods = order.EvaluationOrder();
-  EXPECT_EQ(prods.size(), 5u);  // n-1 products
-  // The full chain product comes last.
-  EXPECT_EQ(prods.back().i, 1);
-  EXPECT_EQ(prods.back().j, 6);
-}
-
 TEST(DenseChainIvmTest, StrategiesAgreeOnRowUpdate) {
   util::Rng rng(9);
   const size_t n = 24;
@@ -154,9 +179,9 @@ TEST(DenseChainIvmTest, StrategiesAgreeOnRowUpdate) {
     first.FirstOrderUpdate(delta_mat);
     fivm.FactorizedRowUpdate(row, delta);
 
-    EXPECT_TRUE(reeval.product().ApproxEquals(first.product(), 1e-7));
-    EXPECT_TRUE(reeval.product().ApproxEquals(fivm.product(), 1e-7));
-    EXPECT_TRUE(reeval.a2().ApproxEquals(fivm.a2(), 1e-9));
+    EXPECT_TRUE(ApproxEquals(reeval.product(), first.product(), 1e-7));
+    EXPECT_TRUE(ApproxEquals(reeval.product(), fivm.product(), 1e-7));
+    EXPECT_TRUE(ApproxEquals(reeval.a2(), fivm.a2(), 1e-9));
   }
 }
 
@@ -176,7 +201,7 @@ TEST(DenseChainIvmTest, RankRUpdateMatchesReevaluation) {
     EXPECT_EQ(f.rank(), r);
     reeval.ReevaluateUpdate(delta);
     fivm.FactorizedUpdate(f);
-    EXPECT_TRUE(reeval.product().ApproxEquals(fivm.product(), 1e-6));
+    EXPECT_TRUE(ApproxEquals(reeval.product(), fivm.product(), 1e-6));
   }
 }
 

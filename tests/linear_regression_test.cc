@@ -73,8 +73,10 @@ TEST(LinearRegressionTest, MseDecreasesWithBetterModel) {
     rows.push_back({x, 2.0 * x + 1.0});
   }
   auto payload = PayloadFromRows(rows);
-  double mse_zero = MeanSquaredError(payload, {0}, 1, {0.0, 0.0});
-  double mse_fit = MeanSquaredError(payload, {0}, 1, {1.0, 2.0});
+  // The all-zero model's error is the mean of y².
+  double mse_zero = 0.0;
+  for (const auto& row : rows) mse_zero += row[1] * row[1] / rows.size();
+  double mse_fit = SolveLeastSquares(payload, {0}, 1).mse;
   EXPECT_GT(mse_zero, mse_fit);
   EXPECT_NEAR(mse_fit, 0.0, 1e-12);
 }
@@ -103,8 +105,8 @@ TEST(LinearRegressionTest, SingularSystemStillSolvable) {
 TEST(CofactorHelpersTest, ScalarAggregateCountMatchesFormula) {
   Catalog catalog;
   Query query(&catalog);
-  query.AddRelation("R", catalog.MakeSchema({"A", "B"}));
-  query.AddRelation("S", catalog.MakeSchema({"B", "C"}));
+  query.AddRelation("R", Schema{catalog.Intern("A"), catalog.Intern("B")});
+  query.AddRelation("S", Schema{catalog.Intern("B"), catalog.Intern("C")});
   // m = 3 vars: 1 count + 3 sums + 6 quadratic = 10.
   auto aggs = ScalarRegressionAggregates(query);
   EXPECT_EQ(aggs.size(), 10u);
@@ -113,7 +115,8 @@ TEST(CofactorHelpersTest, ScalarAggregateCountMatchesFormula) {
 TEST(CofactorHelpersTest, ScalarAggregatesTruncate) {
   Catalog catalog;
   Query query(&catalog);
-  query.AddRelation("R", catalog.MakeSchema({"A", "B", "C", "D"}));
+  query.AddRelation("R", Schema{catalog.Intern("A"), catalog.Intern("B"),
+                               catalog.Intern("C"), catalog.Intern("D")});
   auto aggs = ScalarRegressionAggregates(query, 2);
   // 1 + 2 + 3 = 6.
   EXPECT_EQ(aggs.size(), 6u);

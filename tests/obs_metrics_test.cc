@@ -302,24 +302,5 @@ TEST(ExportTest, JsonContainsAllSections) {
   EXPECT_EQ(json.find('\n'), std::string::npos);  // one line
 }
 
-TEST(ExportTest, PrometheusSanitizesAndEmitsQuantiles) {
-  MetricsSnapshot snap;
-  snap.counters.emplace_back("engine.applied-deltas", 5);
-  HistogramSnapshot hs;
-  hs.count = 2;
-  hs.sum = 10;
-  hs.p50 = 4;
-  hs.p99 = 6;
-  hs.p999 = 6;
-  snap.histograms.emplace_back("exec.merge_ns", hs);
-
-  const std::string text = ToPrometheus(snap);
-  EXPECT_NE(text.find("engine_applied_deltas 5"), std::string::npos) << text;
-  EXPECT_NE(text.find("exec_merge_ns{quantile=\"0.99\"}"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("exec_merge_ns_count 2"), std::string::npos) << text;
-  EXPECT_EQ(text.find("applied-deltas"), std::string::npos) << text;
-}
-
 }  // namespace
 }  // namespace fivm::obs

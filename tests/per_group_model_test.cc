@@ -4,16 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/core/ivm_engine.h"
 #include "src/core/query.h"
 #include "src/core/variable_order.h"
 #include "src/core/view_tree.h"
 #include "src/ml/cofactor.h"
+#include "src/ml/linear_regression.h"
 #include "src/rings/regression_ring.h"
 #include "src/util/rng.h"
 
 namespace fivm {
 namespace {
+
+/// Trains one model per group from a group-by cofactor view: each key of
+/// `grouped` maps to the sufficient statistics of its group, so training
+/// never revisits the data.
+std::vector<std::pair<Tuple, ml::TrainResult>> TrainPerGroup(
+    const Relation<RegressionRing>& grouped,
+    const std::vector<uint32_t>& feature_slots, uint32_t label_slot) {
+  std::vector<std::pair<Tuple, ml::TrainResult>> models;
+  grouped.ForEach([&](const Tuple& key, const RegressionPayload& payload) {
+    models.emplace_back(
+        key, ml::SolveLeastSquares(payload, feature_slots, label_slot));
+  });
+  return models;
+}
 
 TEST(PerGroupModelTest, GroupedCofactorTrainsOneModelPerGroup) {
   // R(G, X, Y): per group G, Y = slope_G * X exactly.
@@ -54,7 +72,7 @@ TEST(PerGroupModelTest, GroupedCofactorTrainsOneModelPerGroup) {
   // One model per group value.
   ASSERT_EQ(engine.result().size(), 3u);
   auto models =
-      ml::TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
+      TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
   ASSERT_EQ(models.size(), 3u);
   for (const auto& [key, model] : models) {
     int64_t g = key[0].AsInt();
@@ -100,12 +118,12 @@ TEST(PerGroupModelTest, GroupModelsUpdateWithDeltas) {
   add(0, 2.0, 2.0, true);
   add(0, 3.0, 100.0, true);  // outlier
 
-  auto models = ml::TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
+  auto models = TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
   ASSERT_EQ(models.size(), 1u);
   EXPECT_GT(models[0].second.mse, 1.0);
 
   add(0, 3.0, 100.0, false);  // retract the outlier
-  models = ml::TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
+  models = TrainPerGroup(engine.result(), {slots[X]}, slots[Y]);
   ASSERT_EQ(models.size(), 1u);
   EXPECT_NEAR(models[0].second.theta[1], 1.0, 1e-9);
   EXPECT_LT(models[0].second.mse, 1e-12);

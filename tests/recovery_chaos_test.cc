@@ -105,11 +105,12 @@ struct Rig {
                      typename exec::ParallelExecutor<I64Ring>::Options{
                          .shards = 2});
     batcher.emplace(&engine->plans(), /*capacity=*/0);
-    server.emplace(&*engine);
   }
 
+  /// Builds the server after recovery, so it freezes the recovered stores.
   void AttachDurability(const std::string& dir, const RecoveryResult& rr,
                         size_t checkpoint_every) {
+    server.emplace(&*engine);
     WalWriter::Options wopt;
     wopt.max_segment_bytes = 1024;  // rotate often: "wal.rotate" must fire
     wopt.sync_dir = false;
@@ -191,7 +192,6 @@ constexpr int kChildException = 92;
         Recover(dir, &*rig.engine, &*rig.batcher, &*rig.executor);
     if (rr.gap_detected) ::_exit(kChildGapDetected);
     rig.AttachDurability(dir, rr, /*checkpoint_every=*/2);
-    rig.server->Rebase();
 
     // Fast-forward the generator over the already-durable prefix.
     StreamGen gen(seed);
@@ -215,7 +215,8 @@ constexpr int kChildException = 92;
 
 /// Parent-side oracle: recover `dir` into a fresh rig and demand exact
 /// equality with a fault-free reference fed the same stream prefix — both
-/// the materialized stores and a served (rebased) snapshot of the result.
+/// the materialized stores and a snapshot served by a server built after
+/// recovery.
 /// Returns the durable update count.
 uint64_t VerifyDurableState(const std::string& dir, uint64_t seed) {
   Rig rec;
@@ -234,7 +235,7 @@ uint64_t VerifyDurableState(const std::string& dir, uint64_t seed) {
   EXPECT_TRUE(exec::StoresContentEqual(*rec.engine, *ref.engine))
       << "divergence at durable update_count=" << rr.update_count;
 
-  rec.server->Rebase();
+  rec.server.emplace(&*rec.engine);
   auto snap = rec.server->Acquire();
   EXPECT_TRUE(ContentEquals(snap.Materialize(), ref.engine->result()));
   return rr.update_count;

@@ -229,8 +229,9 @@ TEST(RecoveryTest, WindowModeRecoverEqualsReference) {
   FeedReference(&*reference.engine, reference.query, kSeed, kUpdates);
   EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *reference.engine));
 
-  // The serving layer rebases onto the recovered stores and answers.
-  recovered.server->Rebase();
+  // A server built after recovery serves the recovered stores.
+  recovered.service.reset();
+  recovered.server.emplace(&*recovered.engine);
   auto snap = recovered.server->Acquire();
   EXPECT_TRUE(
       ContentEquals(snap.Materialize(), reference.engine->result()));

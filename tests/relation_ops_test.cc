@@ -9,6 +9,20 @@
 namespace fivm {
 namespace {
 
+/// ⊎: returns left ⊎ right (schemas must match as sets; output uses left's
+/// order).
+Relation<I64Ring> Union(const Relation<I64Ring>& left,
+                        const Relation<I64Ring>& right) {
+  EXPECT_TRUE(left.schema().SameSet(right.schema()));
+  Relation<I64Ring> out(left.schema());
+  left.ForEach([&](const Tuple& k, const int64_t& p) { out.Add(k, p); });
+  auto positions = right.schema().PositionsOf(left.schema());
+  right.ForEach([&](const Tuple& k, const int64_t& p) {
+    out.Add(k.Project(positions), p);
+  });
+  return out;
+}
+
 // Schema vars: A=0, B=1, C=2.
 constexpr VarId kA = 0, kB = 1, kC = 2;
 

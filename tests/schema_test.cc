@@ -83,13 +83,5 @@ TEST(CatalogTest, NameOfRoundTrips) {
   EXPECT_EQ(c.NameOf(a), "postcode");
 }
 
-TEST(CatalogTest, MakeSchema) {
-  Catalog c;
-  Schema s = c.MakeSchema({"A", "B", "C"});
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s[0], c.Lookup("A"));
-  EXPECT_EQ(s[2], c.Lookup("C"));
-}
-
 }  // namespace
 }  // namespace fivm

@@ -144,7 +144,8 @@ TEST(SnapshotServerTest, DeleteInSegmentCancelsBaseKey) {
   server.Publish();
 
   auto snap = server.Acquire();
-  EXPECT_FALSE(snap.Contains(Tuple::Ints({1})));
+  int64_t absent = 0;
+  EXPECT_FALSE(snap.Lookup(Tuple::Ints({1}), &absent));
   EXPECT_EQ(LookupCount(snap, 2), 1);
   EXPECT_EQ(snap.Size(), 1u);
   size_t seen = 0;
@@ -169,7 +170,8 @@ TEST(SnapshotServerTest, InsertThenDeleteAcrossSegmentsStaysDead) {
 
   auto snap = server.Acquire();
   EXPECT_EQ(snap.segment_count(), 2u);
-  EXPECT_FALSE(snap.Contains(Tuple::Ints({7})));
+  int64_t absent = 0;
+  EXPECT_FALSE(snap.Lookup(Tuple::Ints({7}), &absent));
   EXPECT_EQ(snap.Size(), 0u);
   snap.ForEach([](const Tuple&, const int64_t&) { FAIL(); });
 }
@@ -237,27 +239,30 @@ TEST(SnapshotServerTest, RecycledMergesMatchEngineRoot) {
 TEST(SnapshotServerTest, MergeStepHonorsPolicyBounds) {
   Fixture f;
   f.Apply(1, {{10, 5}});
-  MergePolicy policy;
-  policy.max_segments = 3;
-  policy.max_diff_keys = 1u << 30;
-  Server server(&*f.engine, policy);
+  {
+    MergePolicy policy;
+    policy.max_segments = 3;
+    policy.max_diff_keys = 1u << 30;
+    Server server(&*f.engine, policy);
 
-  f.Apply(0, {{1, 10}});
-  server.Publish();
-  f.Apply(0, {{2, 10}});
-  server.Publish();
-  EXPECT_EQ(server.MergeStep(), 0u) << "below both bounds";
-  EXPECT_EQ(server.SegmentCount(), 2u);
+    f.Apply(0, {{1, 10}});
+    server.Publish();
+    f.Apply(0, {{2, 10}});
+    server.Publish();
+    EXPECT_EQ(server.MergeStep(), 0u) << "below both bounds";
+    EXPECT_EQ(server.SegmentCount(), 2u);
 
-  f.Apply(0, {{3, 10}});
-  server.Publish();
-  EXPECT_EQ(server.MergeStep(), 1u) << "segment bound reached";
-  EXPECT_EQ(server.SegmentCount(), 0u);
+    f.Apply(0, {{3, 10}});
+    server.Publish();
+    EXPECT_EQ(server.MergeStep(), 1u) << "segment bound reached";
+    EXPECT_EQ(server.SegmentCount(), 0u);
+  }
 
   // The key-count bound triggers independently of the segment bound.
+  MergePolicy policy;
   policy.max_segments = 1u << 20;
   policy.max_diff_keys = 2;
-  server.set_policy(policy);
+  Server server(&*f.engine, policy);
   f.Apply(0, {{4, 10}, {5, 10}, {6, 10}});
   server.Publish();
   EXPECT_EQ(server.MergeStep(), 1u);
@@ -311,14 +316,12 @@ TEST(SnapshotServerTest, ReclamationWaitsForPinnedSnapshots) {
     server.Reclaim();
     // Every retired set is at or after the pinned epoch: nothing freed.
     EXPECT_GT(server.RetiredCount(), 0u);
-    EXPECT_EQ(server.ReclaimedVersions(), 0u);
     EXPECT_EQ(server.ReclaimedGenerations(), freed_before);
     // The pinned snapshot still reads pre-update state.
     EXPECT_EQ(LookupCount(pinned, 1), 0);
   }
   server.Reclaim();
   EXPECT_EQ(server.RetiredCount(), 0u);
-  EXPECT_GT(server.ReclaimedVersions(), 0u);
   // The merge displaced the generation-0 base; with no snapshot pinning
   // it, it is released (held back as the next merge's spare).
   EXPECT_GT(server.ReclaimedGenerations(), freed_before);
@@ -449,29 +452,6 @@ TEST(SnapshotServerTest, FactorizedDeltaFlowsIntoSnapshots) {
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
 
-TEST(SnapshotServerTest, RebaseAfterReinitialize) {
-  Fixture f;
-  f.Apply(1, {{10, 5}});
-  f.Apply(0, {{1, 10}});
-  Server server(&*f.engine);
-  f.Apply(0, {{2, 10}});
-  server.Publish();
-
-  // Initialize bypasses the delta observer; Rebase refreezes from the
-  // engine's stores and drops all differential state.
-  Database<I64Ring> db = MakeDatabase<I64Ring>(f.query);
-  db[0].Add(Tuple::Ints({9, 10}), 1);
-  db[1].Add(Tuple::Ints({10, 5}), 1);
-  f.engine->Initialize(db);
-  server.Rebase();
-
-  auto snap = server.Acquire();
-  EXPECT_EQ(snap.segment_count(), 0u);
-  EXPECT_EQ(LookupCount(snap, 9), 1);
-  EXPECT_EQ(LookupCount(snap, 1), 0);
-  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
-}
-
 TEST(SnapshotServerTest, PinnedSpareForcesClonePath) {
   // A snapshot pinned across several merges keeps its generation reachable
   // — as the spare of the merge after next, then through retired sets —
@@ -511,39 +491,6 @@ TEST(SnapshotServerTest, PinnedSpareForcesClonePath) {
   }
   EXPECT_EQ(server.ClonedGenerations(), clones_after_pin);
   auto snap = server.Acquire();
-  EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
-}
-
-TEST(SnapshotServerTest, RebaseDropsTheMergeSpare) {
-  // After Rebase the spare belongs to a superseded store state, so the
-  // next merge must clone the rebased base, never fold into the spare.
-  Fixture f;
-  f.Apply(1, {{10, 5}});
-  Server server(&*f.engine);
-  util::Rng rng(23);
-  for (int merge = 0; merge < 3; ++merge) {
-    PublishRandomBatch(f, server, rng, 8, 24);
-    server.MergeNow();
-  }
-  server.Reclaim();
-  const uint64_t released = server.ReclaimedGenerations();
-
-  Database<I64Ring> db = MakeDatabase<I64Ring>(f.query);
-  db[0].Add(Tuple::Ints({9, 10}), 1);
-  db[1].Add(Tuple::Ints({10, 5}), 1);
-  f.engine->Initialize(db);
-  server.Rebase();
-  server.Reclaim();
-  // The displaced base drained and was released; the spare was released
-  // already and is simply freed.
-  EXPECT_EQ(server.ReclaimedGenerations(), released + 1);
-
-  const uint64_t clones = server.ClonedGenerations();
-  PublishRandomBatch(f, server, rng, 8, 24);
-  ASSERT_EQ(server.MergeNow(), 1u);
-  EXPECT_EQ(server.ClonedGenerations(), clones + 1);
-  auto snap = server.Acquire();
-  EXPECT_EQ(LookupCount(snap, 9), 1);
   EXPECT_TRUE(ContentEquals(snap.Materialize(), f.engine->result()));
 }
 

@@ -110,13 +110,6 @@ TEST(ThreadPoolTest, FirstExceptionPropagates) {
   EXPECT_EQ(ran.load(), 9);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(64, [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, EmptyRoundIsNoOp) {
   ThreadPool pool(2);
   pool.RunTasks({});

@@ -117,8 +117,6 @@ TEST(TupleHashTest, ViewMatchesOwningProjection) {
     EXPECT_EQ(view.Hash(), owned.Hash());
     EXPECT_TRUE(owned == view);
     EXPECT_TRUE(view == owned);
-    EXPECT_EQ(view.ToTuple(), owned);
-    EXPECT_EQ(view.ToTuple().Hash(), owned.Hash());
   }
 }
 

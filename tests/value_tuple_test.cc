@@ -9,20 +9,20 @@ namespace {
 
 TEST(ValueTest, IntRoundTrip) {
   Value v = Value::Int(42);
-  EXPECT_TRUE(v.is_int());
+  EXPECT_EQ(v.kind(), Value::Kind::kInt);
   EXPECT_EQ(v.AsInt(), 42);
   EXPECT_DOUBLE_EQ(v.AsDouble(), 42.0);
 }
 
 TEST(ValueTest, DoubleRoundTrip) {
   Value v = Value::Double(3.5);
-  EXPECT_TRUE(v.is_double());
+  EXPECT_EQ(v.kind(), Value::Kind::kDouble);
   EXPECT_DOUBLE_EQ(v.AsDouble(), 3.5);
 }
 
 TEST(ValueTest, DefaultIsIntZero) {
   Value v;
-  EXPECT_TRUE(v.is_int());
+  EXPECT_EQ(v.kind(), Value::Kind::kInt);
   EXPECT_EQ(v.AsInt(), 0);
 }
 

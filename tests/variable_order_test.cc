@@ -147,17 +147,18 @@ TEST(VariableOrderTest, AutoPutsFreeVarsOnTop) {
 TEST(VariableOrderTest, AutoHandlesDisconnectedQuery) {
   Catalog catalog;
   Query q(&catalog);
-  q.AddRelation("R", catalog.MakeSchema({"A", "B"}));
-  q.AddRelation("S", catalog.MakeSchema({"X", "Y"}));
+  q.AddRelation("R", Schema{catalog.Intern("A"), catalog.Intern("B")});
+  q.AddRelation("S", Schema{catalog.Intern("X"), catalog.Intern("Y")});
   VariableOrder vo = VariableOrder::Auto(q);
   EXPECT_TRUE(vo.finalized());
   EXPECT_EQ(vo.roots().size(), 2u);
 }
 
-TEST(VariableOrderTest, ChainBuilder) {
+TEST(VariableOrderTest, ChainOrderIsValid) {
   PaperQuery pq;
-  VariableOrder vo =
-      VariableOrder::Chain({pq.A, pq.C, pq.B, pq.D, pq.E});
+  VariableOrder vo;
+  int parent = -1;
+  for (VarId v : {pq.A, pq.C, pq.B, pq.D, pq.E}) parent = vo.AddNode(v, parent);
   std::string error;
   // A-C-B-D-E: R(A,B) has A,B on the path ✓; S(A,C,E) ✓; T(C,D) ✓.
   EXPECT_TRUE(vo.Finalize(pq.query, &error)) << error;

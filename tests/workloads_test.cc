@@ -21,7 +21,7 @@ TEST(RetailerTest, SchemaHas43Attributes) {
   cfg.dates = 10;
   cfg.products = 20;
   auto ds = RetailerDataset::Generate(cfg);
-  EXPECT_EQ(ds->AttributeCount(), 43);
+  EXPECT_EQ(ds->catalog.size(), 43u);
   EXPECT_EQ(ds->query->relation_count(), 5);
   EXPECT_EQ(ds->query->relation(ds->inventory).schema.size(), 4u);
   EXPECT_EQ(ds->query->relation(ds->location).schema.size(), 15u);
@@ -77,7 +77,7 @@ TEST(HousingTest, SchemaHas27Attributes) {
   HousingConfig cfg;
   cfg.postcodes = 10;
   auto ds = HousingDataset::Generate(cfg);
-  EXPECT_EQ(ds->AttributeCount(), 27);
+  EXPECT_EQ(ds->catalog.size(), 27u);
   EXPECT_EQ(ds->query->relation_count(), 6);
 }
 
@@ -317,7 +317,7 @@ TEST(StreamTest, RebatchedPreservesSigns) {
 TEST(StreamTest, ToDeltaAggregatesDuplicates) {
   Catalog catalog;
   Query query(&catalog);
-  query.AddRelation("R", catalog.MakeSchema({"A"}));
+  query.AddRelation("R", Schema{catalog.Intern("A")});
   UpdateStream::Batch batch;
   batch.relation = 0;
   batch.tuples.push_back(Tuple::Ints({1}));
