@@ -74,7 +74,6 @@ ALLOWLIST = [
      ["src/serve/snapshot_server.h:*RetiredCount*",
       "src/serve/snapshot_server.h:*Snapshot::seq()*",
       "src/serve/snapshot_server.h:*segment_count*",
-      "src/serve/snapshot_server.h:*store_count*",
       "src/serve/snapshot_server.h:*base_gen*",
       "src/data/relation.h:*HasIndexOn*",
       "src/data/relation.h:*SecondaryIndexCount*",
@@ -91,8 +90,6 @@ ALLOWLIST = [
     ("random variable orders for property_sweep_test's branching-order "
      "exploration, which would otherwise copy AutoImpl into tests/",
      ["src/core/variable_order.*:*AutoRandom*"]),
-    ("the IVM^ε batch apply, which the equivalence fuzz checks against "
-     "per-tuple updates", ["src/ivme/triangle_engine.h:*ApplyDelta*"]),
 ]
 
 

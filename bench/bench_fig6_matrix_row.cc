@@ -171,6 +171,28 @@ void RunDenseRuntime(size_t n, int updates, util::Rng& rng) {
               reeval_time / fivm_time);
 }
 
+/// Runs `run` on each size in ascending order, and stops growing n once a
+/// size's run exceeds the per-strategy budget (FIVM_BENCH_BUDGET_SEC). The
+/// cut is reported as a TIMEOUT row: its fraction is the share of sizes
+/// that ran, its tuple count the last n that ran. The smallest size always
+/// runs.
+template <typename Run>
+void RunSizes(const char* runtime, const std::vector<size_t>& sizes,
+              Run&& run) {
+  const double budget = bench::BudgetSeconds();
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    util::Timer timer;
+    run(sizes[i]);
+    const double elapsed = timer.ElapsedSeconds();
+    if (elapsed > budget && i + 1 < sizes.size()) {
+      bench::PrintTimeoutRow(runtime,
+                             static_cast<double>(i + 1) / sizes.size(),
+                             sizes[i], elapsed);
+      return;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fivm
 
@@ -184,14 +206,11 @@ int main() {
 
   std::vector<size_t> hash_sizes{64, 128, 256};
   if (scale > 1) hash_sizes.push_back(512);
-  for (size_t n : hash_sizes) {
-    RunHashRuntime(n, 5, rng);
-  }
+  RunSizes("hash", hash_sizes, [&](size_t n) { RunHashRuntime(n, 5, rng); });
 
   std::vector<size_t> dense_sizes{256, 512, 1024};
   if (scale > 1) dense_sizes.push_back(2048);
-  for (size_t n : dense_sizes) {
-    RunDenseRuntime(n, 20, rng);
-  }
+  RunSizes("dense", dense_sizes,
+           [&](size_t n) { RunDenseRuntime(n, 20, rng); });
   return 0;
 }

@@ -134,7 +134,7 @@ class IvmEngine {
   }
 
   /// Durability hook: overwrites the store of `node` with recovered
-  /// checkpoint contents. Like Initialize this bypasses the store-delta
+  /// checkpoint contents. Like Initialize this bypasses the root-delta
   /// observer (construct a SnapshotServer after recovery); the
   /// caller (durability::LoadNewestCheckpoint) has already validated that
   /// the image's schema matches this node's store schema.
@@ -326,7 +326,7 @@ class IvmEngine {
   /// Adds staged store deltas to the stores in order, then clears
   /// `staged`. Every store write after Initialize/RestoreStore goes through
   /// here — the engine's own triggers and the parallel executor's shard
-  /// merge alike — which is what makes the store-delta observer below a
+  /// merge alike — which is what makes the root-delta observer below a
   /// complete feed for the serving layer's differential staging
   /// (src/serve/).
   void AbsorbStaged(StagedDeltas& staged) {
@@ -335,20 +335,22 @@ class IvmEngine {
   }
 
   /// Adds one store-schema delta into the store of view `node`, firing the
-  /// observer first.
+  /// observer first when `node` is the root.
   void AbsorbStoreDelta(int node, Relation<Ring>&& delta) {
-    if (store_delta_observer_) store_delta_observer_(node, delta);
+    if (root_delta_observer_ && node == tree_->root()) {
+      root_delta_observer_(delta);
+    }
     AbsorbInto(stores_[node], std::move(delta));
   }
 
-  /// Observer of every store delta the engine absorbs, invoked (on the
-  /// absorbing thread, i.e. the thread applying deltas) with the view node
-  /// and the delta *before* it merges into the store. One observer at a
-  /// time; pass nullptr to detach. Initialize() fills stores directly and
-  /// does not fire it — construct serving-layer consumers afterwards.
-  using StoreDeltaObserver = std::function<void(int, const Relation<Ring>&)>;
-  void SetStoreDeltaObserver(StoreDeltaObserver observer) {
-    store_delta_observer_ = std::move(observer);
+  /// Observer of every root-store delta the engine absorbs, invoked (on
+  /// the absorbing thread, i.e. the thread applying deltas) with the delta
+  /// *before* it merges into the store. One observer at a time; pass
+  /// nullptr to detach. Initialize() fills stores directly and does not
+  /// fire it — construct serving-layer consumers afterwards.
+  using RootDeltaObserver = std::function<void(const Relation<Ring>&)>;
+  void SetRootDeltaObserver(RootDeltaObserver observer) {
+    root_delta_observer_ = std::move(observer);
   }
 
   /// Propagates a delta from (just above) leaf `from` toward the root by
@@ -716,9 +718,9 @@ class IvmEngine {
   /// triggers. Concurrent PropagateDelta callers bring their own.
   PropagationScratch seq_scratch_;
   StagedDeltas staged_;
-  /// Serving-layer tee over absorbed store deltas (empty = one untaken
+  /// Serving-layer tee over absorbed root deltas (empty = one untaken
   /// branch per absorb). Invoked on the absorbing thread only.
-  StoreDeltaObserver store_delta_observer_;
+  RootDeltaObserver root_delta_observer_;
   /// Per-plan-step execution profiles, indexed by leaf node id (null for
   /// non-leaf nodes and for plan-less engines). unique_ptr keeps the
   /// atomic-holding LeafObs at a stable address — PropagateDelta is const

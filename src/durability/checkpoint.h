@@ -177,16 +177,13 @@ LoadedCheckpoint<Ring> LoadNewestCheckpoint(const std::string& dir,
 template <typename Ring>
 class Checkpointer {
  public:
-  struct Options {
-    size_t keep = 2;  // checkpoints retained after a successful install
-  };
+  /// Checkpoints retained after a successful install.
+  static constexpr size_t kKeep = 2;
 
-  Checkpointer(std::string dir, IvmEngine<Ring>* engine, WalWriter* wal,
-               Options options = {})
+  Checkpointer(std::string dir, IvmEngine<Ring>* engine, WalWriter* wal)
       : dir_(std::move(dir)),
         engine_(engine),
         wal_(wal),
-        options_(options),
         duration_ns_(obs::MetricRegistry::Default().GetHistogram(
             "durability.checkpoint_ns")),
         installed_(obs::MetricRegistry::Default().GetCounter(
@@ -207,7 +204,7 @@ class Checkpointer {
     InstallCheckpointBytes(dir_, meta.lsn, bytes);
     installed_->Inc();
     wal_->TruncateBelow(meta.lsn);
-    RemoveOldCheckpoints(dir_, options_.keep);
+    RemoveOldCheckpoints(dir_, kKeep);
     return meta;
   }
 
@@ -217,7 +214,6 @@ class Checkpointer {
   std::string dir_;
   IvmEngine<Ring>* engine_;
   WalWriter* wal_;
-  Options options_;
   obs::Histogram* duration_ns_;
   obs::Counter* installed_;
 };

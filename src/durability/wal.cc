@@ -147,7 +147,7 @@ WalWriter::WalWriter(std::string dir, Options options, uint64_t min_lsn,
     }
   }
   // Before any descriptor is held, so a throw here leaks nothing.
-  if (options_.sync_dir) SyncDir(dir_, "wal");
+  SyncDir(dir_, "wal");
   if (commit_segment < segments.size()) {
     // Resume appending into the surviving tail segment.
     const std::string& tail = segments[commit_segment];
@@ -187,13 +187,11 @@ void WalWriter::EnsureSegment() {
   if (fd < 0) ThrowErrno("wal: create " + path);
   // The segment is kept only once its directory entry is durable: after a
   // throw fd_ stays closed, so a supervised retry reopens and syncs again.
-  if (options_.sync_dir) {
-    try {
-      SyncDir(dir_, "wal");
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
+  try {
+    SyncDir(dir_, "wal");
+  } catch (...) {
+    ::close(fd);
+    throw;
   }
   fd_ = fd;
   segment_path_ = std::move(path);
@@ -326,7 +324,7 @@ void WalWriter::TruncateBelow(uint64_t lsn) {
   if (any) {
     ++stats_.truncations;
     truncations->Inc();
-    if (options_.sync_dir) SyncDir(dir_, "wal");
+    SyncDir(dir_, "wal");
   }
 }
 

@@ -3,8 +3,7 @@
 //
 // Layout on disk: a directory of append-only segments named
 // wal-<first lsn>.seg. A segment is a run of frames; one frame carries one
-// relation's updates from one flush window (strict durability degenerates
-// to one-update frames):
+// relation's updates from one flush window:
 //
 //   header   magic 'FWAL' | version | lsn | first_update_index |
 //            relation | tuple_count | payload_bytes          (36 bytes)
@@ -81,14 +80,12 @@ struct WalStats {
 };
 
 /// Appender. Not thread-safe; the ingest service drives it from the service
-/// thread (window mode) or under its own lock (strict mode).
+/// thread. The directory is fsync'd after every segment create and unlink,
+/// and a failed directory fsync throws.
 class WalWriter {
  public:
   struct Options {
     size_t max_segment_bytes = 64u << 20;
-    /// fsync the directory after segment create/unlink, throwing if it
-    /// fails (off only in tests that hammer rotation).
-    bool sync_dir = true;
   };
 
   /// Opens `dir` (created if absent) for appending: scans existing

@@ -51,20 +51,17 @@
 //    If the seal cannot complete (e.g. disk full, modeled by the
 //    "wal.append" failpoint) the window is shed wholesale: WAL staging and
 //    batcher accumulators are discarded together, counted in
-//    wal_failed_windows — degraded ingest, never an unlogged apply. kStrict
-//    logs and fsyncs each update inside Offer() before admission completes
-//    (one frame per update; pair it with kBlock/kShedNewest — kDropOldest
-//    can evict an already-logged update, which recovery would then
-//    resurrect). Checkpoints run between flush windows every
-//    checkpoint_every_flushes flushes, when sealed == applied holds.
+//    wal_failed_windows — degraded ingest, never an unlogged apply.
+//    Checkpoints run between flush windows every checkpoint_every_flushes
+//    flushes, when sealed == applied holds.
 //
 // Threading: any number of producer threads may Offer() concurrently; the
-// single service thread owns batcher/executor/server. The engine write path
-// and every SnapshotServer writer-side call (Publish, MergeSmall,
-// MergeStep) are single-writer by contract, and all of them run on that
-// thread, one after another. Tests can instead run the loop inline with
-// PumpOnce()/DrainNow() — same code paths, no thread; the calling thread is
-// then the writer.
+// single service thread owns batcher/executor/server/WAL/checkpointer. The
+// engine write path, every SnapshotServer writer-side call (Publish,
+// MergeSmall, MergeStep) and every WAL append, seal and checkpoint are
+// single-writer by contract, and all of them run on that thread, one after
+// another. Tests can instead run the loop inline with PumpOnce()/DrainNow()
+// — same code paths, no thread; the calling thread is then the writer.
 #ifndef FIVM_INGEST_INGEST_SERVICE_H_
 #define FIVM_INGEST_INGEST_SERVICE_H_
 
@@ -106,12 +103,18 @@ struct QueuePolicy {
   size_t capacity = 8192;
 };
 
-/// When (relative to admission/apply) updates reach the write-ahead log.
+/// Whether updates reach the write-ahead log.
 enum class DurabilityPolicy {
   kOff,     // no logging (AttachDurability not required)
   kWindow,  // log at batcher entry, seal + group-fsync before each apply
-  kStrict,  // log + fsync each update inside Offer(), before admission
 };
+
+/// Flushes per SLO evaluation window: degrade when more than half the
+/// window violated ServiceOptions::visibility_slo, recover when the whole
+/// window was clean.
+inline constexpr size_t kSloWindow = 32;
+/// Ceiling on degradation: effective window = configured × 2^level.
+inline constexpr size_t kMaxDegradeLevel = 3;
 
 struct ServiceOptions {
   /// Flush-by-size: buffered updates (queue + batcher, pre-coalescing) that
@@ -122,11 +125,6 @@ struct ServiceOptions {
   std::chrono::microseconds flush_deadline{1000};
   /// Per-flush visibility SLO driving degradation; 0 disables degradation.
   std::chrono::microseconds visibility_slo{0};
-  /// Flushes per SLO evaluation window: degrade when more than half the
-  /// window violated the SLO, recover when the whole window was clean.
-  size_t slo_window = 32;
-  /// Ceiling on degradation: effective window = configured × 2^level.
-  size_t max_degrade_level = 3;
   /// Supervision retry budget per operation (0 disables retry: a fault
   /// meets its stage's exhaustion policy at once).
   size_t max_retries = 16;
@@ -134,8 +132,8 @@ struct ServiceOptions {
   std::chrono::microseconds retry_backoff{50};
   std::chrono::microseconds retry_backoff_cap{10000};
   /// Run SnapshotServer::MergeSmall after each published batch and one
-  /// MergeStep after each flush (no-op without a server; merge failures
-  /// are counted and absorbed — the next merge retries).
+  /// MergeStep after each flush (merge failures are counted and absorbed
+  /// — the next merge retries).
   bool merge_each_flush = true;
   /// Admission policy applied to every relation's queue.
   QueuePolicy default_queue;
@@ -172,10 +170,10 @@ struct IngestStats {
   uint64_t degrade_enters = 0;
   uint64_t degrade_exits = 0;
   uint64_t wal_appended = 0;       // updates staged into the WAL
-  uint64_t wal_retries = 0;        // window-mode seal retries
-  /// Windows (strict: single updates) shed because the WAL could not seal
-  /// them within the retry budget — degraded ingest, never an unlogged
-  /// apply (disk-full behaves like sustained shedding, not corruption).
+  uint64_t wal_retries = 0;        // WAL seal retries
+  /// Windows shed because the WAL could not seal them within the retry
+  /// budget — degraded ingest, never an unlogged apply (disk-full behaves
+  /// like sustained shedding, not corruption).
   uint64_t wal_failed_windows = 0;
   uint64_t checkpoints = 0;
   uint64_t checkpoint_failures = 0;  // absorbed; retried next boundary
@@ -188,10 +186,9 @@ class IngestService {
   using Element = typename Ring::Element;
   using Clock = std::chrono::steady_clock;
 
-  /// All pointees must outlive the service. `server` may be null (ingest
-  /// without a serving layer). When a server is given the service installs
-  /// its own supervised publish as the executor's post-batch hook and owns
-  /// that wiring until destruction.
+  /// All pointees must outlive the service; `server` must not be null. The
+  /// service installs its own supervised publish as the executor's
+  /// post-batch hook and owns that wiring until destruction.
   IngestService(IvmEngine<Ring>* engine, exec::ParallelExecutor<Ring>* executor,
                 exec::DeltaBatcher<Ring>* batcher,
                 serve::SnapshotServer<Ring>* server, ServiceOptions options = {})
@@ -200,28 +197,27 @@ class IngestService {
         batcher_(batcher),
         server_(server),
         opts_(options) {
+    assert(server_ != nullptr && "ingest always serves");
     queues_.resize(engine_->tree().query().relation_count());
-    if (server_ != nullptr) {
-      // Publish runs inside ApplyBatch (after the batch merged into the
-      // stores), so an escaping exception would make the apply supervisor
-      // re-run an already applied batch; exhaustion is absorbed instead,
-      // as is a failed small-differential fold (the next one retries).
-      executor_->SetPostBatchHook([this] {
-        Supervise(
-            &IngestStats::publish_retries, [this](bool) { server_->Publish(); },
-            [this] {
-              std::lock_guard<std::mutex> lk(mu_);
-              stats_.publish_failures += 1;
-            });
-        if (!opts_.merge_each_flush) return;
-        try {
-          server_->MergeSmall();
-        } catch (const std::exception&) {
-          std::lock_guard<std::mutex> lk(mu_);
-          stats_.merge_failures += 1;
-        }
-      });
-    }
+    // Publish runs inside ApplyBatch (after the batch merged into the
+    // stores), so an escaping exception would make the apply supervisor
+    // re-run an already applied batch; exhaustion is absorbed instead, as
+    // is a failed small-differential fold (the next one retries).
+    executor_->SetPostBatchHook([this] {
+      Supervise(
+          &IngestStats::publish_retries, [this](bool) { server_->Publish(); },
+          [this] {
+            std::lock_guard<std::mutex> lk(mu_);
+            stats_.publish_failures += 1;
+          });
+      if (!opts_.merge_each_flush) return;
+      try {
+        server_->MergeSmall();
+      } catch (const std::exception&) {
+        std::lock_guard<std::mutex> lk(mu_);
+        stats_.merge_failures += 1;
+      }
+    });
     obs_visibility_ns_ =
         obs::MetricRegistry::Default().GetHistogram("ingest.visibility_ns");
     // IngestStats is the only owner of these numbers; the registry reads
@@ -253,7 +249,7 @@ class IngestService {
 
   ~IngestService() {
     if (service_.joinable()) Stop();
-    if (server_ != nullptr) executor_->SetPostBatchHook(nullptr);
+    executor_->SetPostBatchHook(nullptr);
   }
 
   IngestService(const IngestService&) = delete;
@@ -261,9 +257,8 @@ class IngestService {
 
   /// Wires the durability layer in; call before Start()/PumpOnce() and keep
   /// both pointees alive for the service's lifetime. `ckpt` may be null
-  /// (WAL-only durability: recovery replays the whole log). The WAL is
-  /// driven from the service thread under kWindow and from inside Offer()
-  /// (under the admission lock) under kStrict — never both.
+  /// (WAL-only durability: recovery replays the whole log). Both are
+  /// driven from the service thread only.
   void AttachDurability(durability::WalWriter* wal,
                         durability::Checkpointer<Ring>* ckpt) {
     wal_ = wal;
@@ -306,22 +301,6 @@ class IngestService {
             return false;
           }
           continue;
-      }
-    }
-    if (opts_.durability == DurabilityPolicy::kStrict && wal_ != nullptr) {
-      // Log-at-admission: the update is durable (frame written + fsync'd)
-      // before Offer() acknowledges it. Single attempt — mu_ is held, so
-      // the retry/backoff machinery (which takes mu_) cannot run; a WAL
-      // failure sheds this one update instead.
-      try {
-        wal_->Append<Ring>(relation, key, payload);
-        wal_->Seal(/*sync=*/true);
-        stats_.wal_appended += 1;
-      } catch (const std::exception&) {
-        wal_->DropPending();
-        stats_.wal_failed_windows += 1;
-        Shed(1);
-        return false;
       }
     }
     rq.q.push_back(Pending{key, std::move(payload), now});
@@ -614,7 +593,7 @@ class IngestService {
     const uint64_t vis_ns = NowNs() - window_oldest;
     obs_visibility_ns_->Record(vis_ns);
     if (visibility_probe_) visibility_probe_(vis_ns);
-    if (server_ != nullptr && opts_.merge_each_flush) {
+    if (opts_.merge_each_flush) {
       try {
         server_->MergeStep();
       } catch (const std::exception&) {
@@ -636,11 +615,8 @@ class IngestService {
   }
 
   /// Checkpoint between flush windows, every checkpoint_every_flushes
-  /// flushes. Window mode: sealed == applied holds right here (the window
-  /// just sealed was just applied), no locking needed beyond service-thread
-  /// ownership. Strict mode: Offer() seals ahead of apply, so the image is
-  /// only valid when nothing is in flight — taken under mu_ (blocking
-  /// producers for the duration) with empty queues and an empty batcher.
+  /// flushes. sealed == applied holds right here (the window just sealed
+  /// was just applied), no locking needed beyond service-thread ownership.
   /// Failures are counted and the saturated flush counter retries at the
   /// next boundary.
   void MaybeCheckpoint() {
@@ -650,18 +626,6 @@ class IngestService {
       return;
     }
     if (++flushes_since_ckpt_ < opts_.checkpoint_every_flushes) return;
-    if (opts_.durability == DurabilityPolicy::kStrict) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (queued_total_ > 0 || batcher_->pending_updates() > 0) return;
-      try {
-        ckpt_->WriteCheckpoint();
-        flushes_since_ckpt_ = 0;
-        stats_.checkpoints += 1;
-      } catch (const std::exception&) {
-        stats_.checkpoint_failures += 1;
-      }
-      return;
-    }
     try {
       ckpt_->WriteCheckpoint();
       flushes_since_ckpt_ = 0;
@@ -683,9 +647,9 @@ class IngestService {
             .count());
     slo_flushes_ += 1;
     if (vis_ns > slo_ns) slo_violations_ += 1;
-    if (slo_flushes_ < opts_.slo_window) return;
+    if (slo_flushes_ < kSloWindow) return;
     const size_t level = degrade_level_.load(std::memory_order_relaxed);
-    if (slo_violations_ * 2 > slo_flushes_ && level < opts_.max_degrade_level) {
+    if (slo_violations_ * 2 > slo_flushes_ && level < kMaxDegradeLevel) {
       degrade_level_.store(level + 1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lk(mu_);
       stats_.degrade_enters += 1;
@@ -729,7 +693,7 @@ class IngestService {
   IvmEngine<Ring>* engine_;
   exec::ParallelExecutor<Ring>* executor_;
   exec::DeltaBatcher<Ring>* batcher_;
-  serve::SnapshotServer<Ring>* server_;  // may be null
+  serve::SnapshotServer<Ring>* server_;
   ServiceOptions opts_;
 
   /// Durability layer (AttachDurability); both may be null under kOff.

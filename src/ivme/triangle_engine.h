@@ -242,15 +242,6 @@ class TriangleEngine {
     }
   }
 
-  /// Applies every entry of a delta relation (query-schema layout) as a
-  /// single-tuple update, in entry order.
-  void ApplyDelta(int relation, const Relation<Ring>& delta) {
-    assert(delta.schema() == rel_[SlotOf(relation)].schema);
-    delta.ForEach([&](const Tuple& key, const Element& m) {
-      ApplyUpdate(relation, key, m);
-    });
-  }
-
   /// The maintained triangle aggregate Q.
   const Element& result() const { return q_; }
 

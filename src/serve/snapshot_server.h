@@ -28,21 +28,20 @@ struct MergePolicy {
   size_t max_diff_keys = 4096;
 };
 
-/// The concurrent read path over an IvmEngine's view stores (the serving
+/// The concurrent read path over an IvmEngine's root store (the serving
 /// half of F-IVM's promise: views are maintained *to be queried*).
 ///
-/// Design: every served store is published as an immutable *generation*
-/// (a frozen Relation behind shared_ptr<const>) plus an ordered list of
-/// frozen *differential segments* — one per publish that touched the store.
-/// One VersionSet bundles all served stores at a publish sequence number;
-/// a single atomic pointer swap per publish makes snapshots consistent
-/// across stores. The writer-side flow:
+/// Design: the root store is published as an immutable *generation* (a
+/// frozen Relation behind shared_ptr<const>) plus an ordered list of frozen
+/// *differential segments* — one per publish that touched the root. One
+/// VersionSet holds that version at a publish sequence number, and a single
+/// atomic pointer swap per publish installs it. The writer-side flow:
 ///
-///  - the engine's store-delta observer tees every absorbed store delta
-///    into a small mutable staging relation per served store (the only
-///    mutable differential state, touched exclusively by the writer);
+///  - the engine's root-delta observer tees every absorbed root delta into
+///    a small mutable staging relation (the only mutable differential
+///    state, touched exclusively by the writer);
 ///  - Publish() — wired per batch via ParallelExecutor::SetPostBatchHook —
-///    freezes dirty staging relations into segments by move, swaps in a new
+///    freezes the staging relation into a segment by move, swaps in a new
 ///    VersionSet, retires the old one, and advances the reclamation epoch;
 ///  - MergeStep()/MergeNow()/MergeSmall() (IngestService calls MergeSmall
 ///    after each publish and MergeStep after each flush) fold base ⊎
@@ -80,7 +79,7 @@ struct MergePolicy {
 /// can retire. Acquire()/TryAcquire(), every Snapshot method and the
 /// atomic-backed stat getters are safe from any thread, for any number of
 /// readers up to EpochRegistry::kMaxReaders live snapshots. The server
-/// registers itself as the engine's store-delta observer for its lifetime
+/// registers itself as the engine's root-delta observer for its lifetime
 /// and must outlive every Snapshot it hands out. Engine::Initialize
 /// bypasses the observer — construct the server afterwards.
 template <typename Ring>
@@ -90,8 +89,8 @@ class SnapshotServer {
   using Rel = Relation<Ring>;
   using RelPtr = std::shared_ptr<const Rel>;
 
-  /// One served store at one publish: an immutable base generation plus
-  /// the frozen differential segments published after it (oldest first).
+  /// The root store at one publish: an immutable base generation plus the
+  /// frozen differential segments published after it (oldest first).
   /// Segments hold ring *deltas*: a reader's value for a key is the ring
   /// sum of the base hit and every segment hit.
   struct StoreVersion {
@@ -100,29 +99,22 @@ class SnapshotServer {
     uint64_t base_gen = 0;
   };
 
-  /// All served stores at one publish sequence. Immutable once installed;
-  /// the atomic current-set pointer is the only mutable cell readers touch.
+  /// The root store at one publish sequence. Immutable once installed; the
+  /// atomic current-set pointer is the only mutable cell readers touch.
   struct VersionSet {
     uint64_t seq = 0;
-    std::vector<StoreVersion> stores;
+    StoreVersion store;
   };
 
-  /// `engine` must outlive the server. `nodes` are the view-tree nodes to
-  /// serve (each must be materialized); the single-argument overload serves
-  /// the root. Served-store contents are frozen from the engine's current
-  /// stores at construction.
-  SnapshotServer(IvmEngine<Ring>* engine, std::vector<int> nodes,
-                 MergePolicy policy = {})
-      : engine_(engine), nodes_(std::move(nodes)), policy_(policy) {
-    slot_of_node_.assign(engine_->tree().nodes().size(), -1);
-    staging_.reserve(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      assert(engine_->tree().node(nodes_[i]).materialized &&
-             "can only serve materialized stores");
-      slot_of_node_[nodes_[i]] = static_cast<int>(i);
-      staging_.emplace_back(engine_->store(nodes_[i]).schema());
-      dirty_.push_back(0);
-    }
+  /// `engine` must outlive the server, and its root must be materialized.
+  /// The served contents are frozen from the engine's root store at
+  /// construction.
+  SnapshotServer(IvmEngine<Ring>* engine, MergePolicy policy = {})
+      : engine_(engine),
+        policy_(policy),
+        staging_(engine_->result().schema()) {
+    assert(engine_->tree().node(engine_->tree().root()).materialized &&
+           "can only serve a materialized root");
     auto& reg = obs::MetricRegistry::Default();
     obs_reads_ = reg.GetCounter("serve.reads");
     obs_base_hits_ = reg.GetCounter("serve.base_hits");
@@ -142,28 +134,24 @@ class SnapshotServer {
     gauges_.Add("serve.cloned_generations",
                 [this] { return static_cast<int64_t>(ClonedGenerations()); });
 
+    fold_.live = std::make_shared<Rel>(engine_->result());
     auto* init = new VersionSet();
-    init->stores.resize(nodes_.size());
-    folds_.resize(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      folds_[i].live = std::make_shared<Rel>(engine_->store(nodes_[i]));
-      init->stores[i].base = folds_[i].live;
-    }
+    init->store.base = fold_.live;
     current_.store(init, std::memory_order_seq_cst);
-    engine_->SetStoreDeltaObserver(
-        [this](int node, const Rel& delta) { OnStoreDelta(node, delta); });
+    // Writer thread: staging absorbs by ring addition, so several root
+    // deltas within a batch coalesce before freezing.
+    engine_->SetRootDeltaObserver([this](const Rel& delta) {
+      AbsorbInto(staging_, delta);
+      dirty_ = true;
+    });
   }
 
   /// Differentials of at most this many keys (summed over segments) are
   /// what MergeSmall() folds.
   static constexpr size_t kSmallFoldKeys = 32;
 
-  SnapshotServer(IvmEngine<Ring>* engine, MergePolicy policy = {})
-      : SnapshotServer(engine, std::vector<int>{engine->tree().root()},
-                       policy) {}
-
   ~SnapshotServer() {
-    engine_->SetStoreDeltaObserver(nullptr);
+    engine_->SetRootDeltaObserver(nullptr);
     assert(epochs_.PinnedCount() == 0 &&
            "snapshots must not outlive their server");
     for (auto& [epoch, set] : retired_) delete set;
@@ -201,16 +189,9 @@ class SnapshotServer {
     /// exactly the first seq() published batches.
     uint64_t seq() const { return set_->seq; }
 
-    size_t store_count() const { return set_->stores.size(); }
-    uint64_t base_gen(size_t store = 0) const {
-      return set_->stores[store].base_gen;
-    }
-    size_t segment_count(size_t store = 0) const {
-      return set_->stores[store].segments.size();
-    }
-    const Schema& schema(size_t store = 0) const {
-      return set_->stores[store].base->schema();
-    }
+    uint64_t base_gen() const { return set_->store.base_gen; }
+    size_t segment_count() const { return set_->store.segments.size(); }
+    const Schema& schema() const { return set_->store.base->schema(); }
 
     /// Wait-free point lookup against (base ⊎ differential): writes the
     /// ring sum of the base hit and every segment hit into `*out` and
@@ -219,8 +200,8 @@ class SnapshotServer {
     /// scalar-payload rings (heavier rings may grow `*out` once; reuse it
     /// across calls for an allocation-free steady state).
     template <typename K>
-    bool Lookup(const K& key, Element* out, size_t store = 0) const {
-      const StoreVersion& sv = set_->stores[store];
+    bool Lookup(const K& key, Element* out) const {
+      const StoreVersion& sv = set_->store;
       bool have = false;
       bool diff_hit = false;
       if (const Element* b = sv.base->Find(key)) {
@@ -253,8 +234,8 @@ class SnapshotServer {
     /// segments and base); untouched base keys pass through by reference.
     /// Cost: one probe into each other layer per differential-touched key.
     template <typename Fn>
-    void ForEach(Fn&& fn, size_t store = 0) const {
-      const StoreVersion& sv = set_->stores[store];
+    void ForEach(Fn&& fn) const {
+      const StoreVersion& sv = set_->store;
       const auto& segs = sv.segments;
       if (segs.empty()) {
         sv.base->ForEach(fn);
@@ -288,20 +269,19 @@ class SnapshotServer {
     }
 
     /// Live keys in the snapshot (scan-priced when segments are present).
-    size_t Size(size_t store = 0) const {
-      const StoreVersion& sv = set_->stores[store];
+    size_t Size() const {
+      const StoreVersion& sv = set_->store;
       if (sv.segments.empty()) return sv.base->size();
       size_t n = 0;
-      ForEach([&n](const Tuple&, const Element&) { ++n; }, store);
+      ForEach([&n](const Tuple&, const Element&) { ++n; });
       return n;
     }
 
-    /// Materializes the snapshot's view of `store` as a plain Relation
-    /// (test/verification helper; not a read-path operation).
-    Rel Materialize(size_t store = 0) const {
-      Rel out(schema(store));
-      ForEach([&out](const Tuple& k, const Element& p) { out.Add(k, p); },
-              store);
+    /// Materializes the snapshot as a plain Relation (test/verification
+    /// helper; not a read-path operation).
+    Rel Materialize() const {
+      Rel out(schema());
+      ForEach([&out](const Tuple& k, const Element& p) { out.Add(k, p); });
       return out;
     }
 
@@ -345,50 +325,44 @@ class SnapshotServer {
     return Snapshot(this, slot);
   }
 
-  /// Freezes every dirty staging relation into a published segment and
-  /// swaps in the next VersionSet; returns its sequence number (unchanged
-  /// when nothing was staged). Writer-side — wire it per batch via
+  /// Freezes the staged root delta into a published segment and swaps in
+  /// the next VersionSet; returns its sequence number (unchanged when
+  /// nothing was staged). Writer-side — wire it per batch via
   /// ParallelExecutor::SetPostBatchHook, or call explicitly after
   /// ApplyDelta.
   uint64_t Publish() {
-    // Failpoint before any staging relation is frozen: a publish that
-    // throws here changed nothing — staged deltas stay staged, dirty flags
-    // stay set — so the caller retries Publish() as-is, or simply lets the
-    // next publish pick the segments up (visibility is delayed, never
-    // lost or duplicated).
+    // Failpoint before the staging relation is frozen: a publish that
+    // throws here changed nothing — the staged delta stays staged, the
+    // dirty flag stays set — so the caller retries Publish() as-is, or
+    // simply lets the next publish pick the segment up (visibility is
+    // delayed, never lost or duplicated).
     FIVM_FAIL_POINT("serve.publish");
     const VersionSet* old = current_.load(std::memory_order_relaxed);
-    bool any = false;
-    for (char d : dirty_) any |= (d != 0);
-    if (!any) return old->seq;
+    if (!dirty_) return old->seq;
+    dirty_ = false;
     auto* next = new VersionSet(*old);
     next->seq = old->seq + 1;
-    for (size_t i = 0; i < staging_.size(); ++i) {
-      if (!dirty_[i]) continue;
-      dirty_[i] = 0;
-      Schema schema = staging_[i].schema();
-      if (staging_[i].empty()) {
-        // Every staged key cancelled; drop the tombstones.
-        staging_[i] = Rel(std::move(schema));
-        continue;
-      }
-      next->stores[i].segments.push_back(
-          std::make_shared<const Rel>(std::move(staging_[i])));
-      staging_[i] = Rel(std::move(schema));
+    Schema schema = staging_.schema();
+    // A staging relation whose every key cancelled holds only tombstones:
+    // it is dropped rather than published.
+    if (!staging_.empty()) {
+      next->store.segments.push_back(
+          std::make_shared<const Rel>(std::move(staging_)));
     }
+    staging_ = Rel(std::move(schema));
     stats_publishes_.fetch_add(1, std::memory_order_relaxed);
     Install(next);
     return next->seq;
   }
 
-  /// One merge pass under the current MergePolicy; returns how many stores
-  /// folded their differential into a new base generation. Writer-side.
+  /// One merge pass under the current MergePolicy; returns 1 when the
+  /// differential folded into a new base generation, else 0. Writer-side.
   size_t MergeStep() { return MergeImpl(Scope::kPolicy); }
 
-  /// Folds every non-empty differential regardless of policy bounds.
+  /// Folds a non-empty differential regardless of policy bounds.
   size_t MergeNow() { return MergeImpl(Scope::kAll); }
 
-  /// Folds only differentials of at most kSmallFoldKeys keys, regardless
+  /// Folds only a differential of at most kSmallFoldKeys keys, regardless
   /// of policy bounds. Every lookup probes every segment, and a store with
   /// few keys (a scalar root) gains a segment per published batch: left to
   /// the bounds, a read's cost would depend on how many batches published
@@ -425,11 +399,10 @@ class SnapshotServer {
       }
     }
     draining_.resize(kept);
-    for (FoldState& fs : folds_) {
-      if (fs.spare && !fs.spare_drained && fs.spare_epoch < min_pinned) {
-        fs.spare_drained = true;
-        stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (fold_.spare && !fold_.spare_drained &&
+        fold_.spare_epoch < min_pinned) {
+      fold_.spare_drained = true;
+      stats_reclaimed_generations_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -463,9 +436,8 @@ class SnapshotServer {
   int64_t PinnedCount() const { return epochs_.PinnedCount(); }
 
  private:
-  /// Per served store: the double buffer behind the in-place merge fold.
-  /// Writer-owned, like every other mutable field; Reclaim() marks spares
-  /// drained.
+  /// The double buffer behind the in-place merge fold. Writer-owned, like
+  /// every other mutable field; Reclaim() marks the spare drained.
   struct FoldState {
     /// Mutable handle on the base generation currently installed.
     std::shared_ptr<Rel> live;
@@ -493,16 +465,6 @@ class SnapshotServer {
   static constexpr size_t kCloneHeadroomMinKeys = 64;
   static constexpr size_t kCloneHeadroomDiffs = 4;
 
-  /// Engine store-delta observer (writer thread): tees the delta into the
-  /// served store's staging relation. Staging absorbs by ring addition, so
-  /// several deltas to one store within a batch coalesce before freezing.
-  void OnStoreDelta(int node, const Rel& delta) {
-    int slot = slot_of_node_[node];
-    if (slot < 0) return;
-    AbsorbInto(staging_[static_cast<size_t>(slot)], delta);
-    dirty_[static_cast<size_t>(slot)] = 1;
-  }
-
   /// Swaps in `next`, retires the displaced set at the current epoch,
   /// advances the epoch, and reclaims what already drained. Returns the
   /// retire epoch.
@@ -512,23 +474,25 @@ class SnapshotServer {
     uint64_t retire_epoch = epochs_.CurrentEpoch();
     retired_.emplace_back(retire_epoch, old);
     epochs_.AdvanceEpoch();
-    size_t segs = 0;
-    for (const StoreVersion& sv : next->stores) segs += sv.segments.size();
-    segment_count_.store(segs, std::memory_order_relaxed);
+    segment_count_.store(next->store.segments.size(),
+                         std::memory_order_relaxed);
     Reclaim();
     return retire_epoch;
   }
 
-  /// Gives up `fs`'s spare: a drained one is freed, one still reachable
-  /// waits in draining_.
-  void DropSpare(FoldState& fs) {
-    if (fs.spare == nullptr) return;
-    if (fs.spare_drained) {
-      fs.spare.reset();
-    } else {
-      draining_.emplace_back(fs.spare_epoch, std::move(fs.spare));
+  /// Takes the spare for a merge to fold into when it drained. Otherwise
+  /// returns null and gives up a spare readers can still reach: it waits
+  /// in draining_ rather than being waited for, and this merge clones.
+  std::shared_ptr<Rel> ClaimSpare() {
+    Reclaim();
+    if (fold_.spare_drained) {
+      fold_.spare_drained = false;
+      return std::exchange(fold_.spare, nullptr);
     }
-    fs.spare_drained = false;
+    if (fold_.spare != nullptr) {
+      draining_.emplace_back(fold_.spare_epoch, std::move(fold_.spare));
+    }
+    return nullptr;
   }
 
   enum class Scope { kPolicy, kAll, kSmall };
@@ -542,108 +506,71 @@ class SnapshotServer {
     // current set, so it needs no pin and stays the latest until the
     // install below.
     const VersionSet* cur = current_.load(std::memory_order_relaxed);
-    struct Fold {
-      size_t slot;
-      size_t segment_keys;
-      std::shared_ptr<Rel> base;  // the next generation
-      Rel diff;
-      bool cloned = false;
-    };
-    std::vector<Fold> folds;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      const StoreVersion& sv = cur->stores[i];
-      if (sv.segments.empty()) continue;
-      size_t diff_keys = 0;
-      for (const RelPtr& s : sv.segments) diff_keys += s->size();
-      const bool fold =
-          which == Scope::kAll ||
-          (which == Scope::kSmall && diff_keys <= kSmallFoldKeys) ||
-          (which == Scope::kPolicy &&
-           (sv.segments.size() >= policy_.max_segments ||
-            diff_keys >= policy_.max_diff_keys));
-      if (!fold) continue;
-      folds.push_back(Fold{i, diff_keys, nullptr, Rel()});
-    }
-    if (folds.empty()) return 0;
-    // Claim each folding store's spare if it drained. One still pinned is
-    // never waited for: it drains on its own and this merge clones.
-    Reclaim();
-    for (Fold& f : folds) {
-      FoldState& fs = folds_[f.slot];
-      if (fs.spare_drained) {
-        f.base = std::exchange(fs.spare, nullptr);
-        fs.spare_drained = false;
-      } else {
-        DropSpare(fs);
-      }
-    }
-    for (Fold& f : folds) {
+    const StoreVersion& sv = cur->store;
+    if (sv.segments.empty()) return 0;
+    size_t diff_keys = 0;
+    for (const RelPtr& s : sv.segments) diff_keys += s->size();
+    const bool fold =
+        which == Scope::kAll ||
+        (which == Scope::kSmall && diff_keys <= kSmallFoldKeys) ||
+        (which == Scope::kPolicy &&
+         (sv.segments.size() >= policy_.max_segments ||
+          diff_keys >= policy_.max_diff_keys));
+    if (!fold) return 0;
+    std::shared_ptr<Rel> base = ClaimSpare();  // becomes the next generation
+    Rel diff(sv.base->schema());
+    bool cloned = false;
+    {
       obs::ScopedTimer timer(obs_merge_ns_);
-      const StoreVersion& sv = cur->stores[f.slot];
-      const FoldState& fs = folds_[f.slot];
-      assert(sv.base == fs.live && "the installed base is the live one");
+      assert(sv.base == fold_.live && "the installed base is the live one");
       // Coalesce the frozen segments into one differential (ring addition
       // dedups keys across segments).
-      f.diff = Rel(sv.base->schema());
-      f.diff.Reserve(f.segment_keys);
-      for (const RelPtr& s : sv.segments) AbsorbInto(f.diff, *s);
+      diff.Reserve(diff_keys);
+      for (const RelPtr& s : sv.segments) AbsorbInto(diff, *s);
       // The spare is the generation before the installed one: absorbing
       // last_fold and then this differential makes it the next one. Each
       // new key takes a pool slot, so the fold must fit the pool as sized.
-      if (f.base != nullptr &&
-          f.base->KeyPoolSize() + fs.last_fold.size() + f.diff.size() <=
-              f.base->KeyPoolCapacity()) {
-        AbsorbInto(*f.base, fs.last_fold);
-        AbsorbInto(*f.base, f.diff);
-        continue;
+      if (base != nullptr &&
+          base->KeyPoolSize() + fold_.last_fold.size() + diff.size() <=
+              base->KeyPoolCapacity()) {
+        AbsorbInto(*base, fold_.last_fold);
+      } else {
+        base.reset();  // free an overflowing spare before cloning
+        const size_t headroom =
+            std::max({sv.base->size() / kCloneHeadroomDivisor,
+                      kCloneHeadroomDiffs * diff.size(),
+                      kCloneHeadroomMinKeys});
+        base = std::make_shared<Rel>(*sv.base, diff.size() + headroom);
+        cloned = true;
       }
-      f.base.reset();  // free an overflowing spare before cloning
-      const size_t headroom =
-          std::max({sv.base->size() / kCloneHeadroomDivisor,
-                    kCloneHeadroomDiffs * f.diff.size(),
-                    kCloneHeadroomMinKeys});
-      f.base = std::make_shared<Rel>(*sv.base, f.diff.size() + headroom);
-      AbsorbInto(*f.base, f.diff);
-      f.cloned = true;
+      AbsorbInto(*base, diff);
     }
-    // Failpoint between fold and install: the built generations unwind and
+    // Failpoint between fold and install: the built generation unwinds and
     // no set was swapped — an injected abort here wastes the fold's work
     // (and a recycled spare) but cannot corrupt the version chain, since
-    // the fold states change only below. Stats are counted past this
+    // the fold state changes only below. Stats are counted past this
     // point so an aborted merge reports nothing as merged.
     FIVM_FAIL_POINT("serve.merge.install");
-    auto* next = new VersionSet(*cur);
-    for (const Fold& f : folds) {
-      // `cur` is the latest set, so every segment of a folded store is in
-      // its new base.
-      StoreVersion& sv = next->stores[f.slot];
-      sv.segments.clear();
-      sv.base = f.base;
-      ++sv.base_gen;
-      stats_merged_keys_.fetch_add(f.diff.size(), std::memory_order_relaxed);
-    }
+    // `cur` is the latest set, so every segment is in the new base.
+    auto* next = new VersionSet{cur->seq, {base, {}, sv.base_gen + 1}};
+    stats_merged_keys_.fetch_add(diff.size(), std::memory_order_relaxed);
     const uint64_t retire_epoch = Install(next);
-    for (Fold& f : folds) {
-      FoldState& fs = folds_[f.slot];
-      fs.spare = std::exchange(fs.live, std::move(f.base));
-      fs.spare_epoch = retire_epoch;
-      std::swap(fs.last_fold, f.diff);
-      if (f.cloned) {
-        stats_cloned_generations_.fetch_add(1, std::memory_order_relaxed);
-      }
+    fold_.spare = std::exchange(fold_.live, std::move(base));
+    fold_.spare_epoch = retire_epoch;
+    fold_.last_fold = std::move(diff);
+    if (cloned) {
+      stats_cloned_generations_.fetch_add(1, std::memory_order_relaxed);
     }
-    stats_merges_.fetch_add(folds.size(), std::memory_order_relaxed);
-    return folds.size();
+    stats_merges_.fetch_add(1, std::memory_order_relaxed);
+    return 1;
   }
 
   IvmEngine<Ring>* engine_;
-  std::vector<int> nodes_;           // served view-tree nodes
-  std::vector<int> slot_of_node_;    // tree node -> served slot, or -1
   MergePolicy policy_;
 
-  /// Differential staging (one per served store).
-  std::vector<Rel> staging_;
-  std::vector<char> dirty_;
+  /// Differential staging of the root store.
+  Rel staging_;
+  bool dirty_ = false;
 
   /// The published version chain. current_ is the readers' single entry
   /// point and the only field they touch; the rest is writer-owned.
@@ -652,7 +579,7 @@ class SnapshotServer {
   /// Displaced generations no merge will fold into, with their retire
   /// epochs, waiting for their readers to drain.
   std::vector<std::pair<uint64_t, std::shared_ptr<Rel>>> draining_;
-  std::vector<FoldState> folds_;  // one per served store
+  FoldState fold_;
   mutable EpochRegistry epochs_;
 
   /// Server-local stats (live in every build config; tests read these).

@@ -39,8 +39,7 @@ using Rel = Relation<I64Ring>;
 /// Q(A) = Σ_{B,C} R(A,B) ⋈ S(B,C) with the full service pipeline behind it:
 /// pool → executor → batcher → snapshot server → ingest service.
 struct Pipeline {
-  explicit Pipeline(ServiceOptions opts = {}, bool with_server = true,
-                    LiftingMap<I64Ring> lifts = {}) {
+  explicit Pipeline(ServiceOptions opts = {}, LiftingMap<I64Ring> lifts = {}) {
     A = catalog.Intern("A");
     B = catalog.Intern("B");
     C = catalog.Intern("C");
@@ -58,9 +57,8 @@ struct Pipeline {
                      typename exec::ParallelExecutor<I64Ring>::Options{
                          .shards = 2});
     batcher.emplace(&engine->plans(), /*capacity=*/0);
-    if (with_server) server.emplace(&*engine);
-    service.emplace(&*engine, &*executor, &*batcher,
-                    with_server ? &*server : nullptr, opts);
+    server.emplace(&*engine);
+    service.emplace(&*engine, &*executor, &*batcher, &*server, opts);
   }
 
   /// Reference result of applying `updates` (relation, x, y, mult) to a
@@ -241,8 +239,6 @@ TEST(IngestServiceTest, SustainedSloViolationWidensWindowThenRecovers) {
   ServiceOptions opts;
   opts.flush_updates = 4;
   opts.visibility_slo = std::chrono::microseconds(1);  // impossible SLO
-  opts.slo_window = 4;
-  opts.max_degrade_level = 2;
   Pipeline p(opts);
 
   int64_t next = 0;
@@ -251,16 +247,18 @@ TEST(IngestServiceTest, SustainedSloViolationWidensWindowThenRecovers) {
       p.service->Offer(0, Tuple::Ints({next++ % 64, 0}), 1);
     }
   };
-  // 8 flushes violating the 1µs SLO: degrade at each 4-flush window edge.
-  for (int w = 0; w < 8; ++w) {
+  // Flushes violating the 1µs SLO degrade one level at each kSloWindow
+  // edge; one window past the cap shows the level stays there.
+  for (size_t w = 0; w < (kMaxDegradeLevel + 1) * kSloWindow; ++w) {
     offer_window(p.service->EffectiveFlushUpdates());
     ASSERT_TRUE(p.service->PumpOnce());
   }
-  EXPECT_EQ(p.service->degrade_level(), 2u);  // capped at max_degrade_level
+  EXPECT_EQ(p.service->degrade_level(), kMaxDegradeLevel);  // capped
   auto stats = p.service->GetStats();
-  EXPECT_EQ(stats.degrade_enters, 2u);
+  EXPECT_EQ(stats.degrade_enters, kMaxDegradeLevel);
   // The effective window doubled per level.
-  EXPECT_EQ(p.service->EffectiveFlushUpdates(), 16u);
+  EXPECT_EQ(p.service->EffectiveFlushUpdates(),
+            opts.flush_updates << kMaxDegradeLevel);
 
   // Clean windows (generous SLO) narrow it back one level per window.
   p.service.emplace(&*p.engine, &*p.executor, &*p.batcher, &*p.server, opts);
@@ -269,46 +267,29 @@ TEST(IngestServiceTest, SustainedSloViolationWidensWindowThenRecovers) {
 
 TEST(IngestServiceTest, DegradationRecoversAfterCleanWindows) {
   // Violation is measured against real visibility latency, so an SLO of
-  // 50ms is violated by aging the window 60ms before pumping and met by
+  // 20ms is violated by aging the window 25ms before pumping and met by
   // pumping immediately — enter and exit on one service instance.
   ServiceOptions opts;
   opts.flush_updates = 2;
-  opts.visibility_slo = std::chrono::milliseconds(50);
-  opts.slo_window = 2;
-  opts.max_degrade_level = 1;
+  opts.visibility_slo = std::chrono::milliseconds(20);
   Pipeline p(opts);
   int64_t next = 0;
-  for (int w = 0; w < 2; ++w) {  // two violating flushes: degrade
+  for (size_t w = 0; w < kSloWindow; ++w) {  // a violating window: degrade
     p.service->Offer(0, Tuple::Ints({next++, 0}), 1);
     p.service->Offer(0, Tuple::Ints({next++, 0}), 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
     ASSERT_TRUE(p.service->PumpOnce(true));
   }
   ASSERT_EQ(p.service->degrade_level(), 1u);
   ASSERT_EQ(p.service->GetStats().degrade_enters, 1u);
 
-  for (int w = 0; w < 2; ++w) {  // two clean flushes: recover
+  for (size_t w = 0; w < kSloWindow; ++w) {  // a clean window: recover
     p.service->Offer(0, Tuple::Ints({next++, 0}), 1);
     p.service->Offer(0, Tuple::Ints({next++, 0}), 1);
     ASSERT_TRUE(p.service->PumpOnce(true));
   }
   EXPECT_EQ(p.service->degrade_level(), 0u);
   EXPECT_EQ(p.service->GetStats().degrade_exits, 1u);
-}
-
-TEST(IngestServiceTest, WorksWithoutSnapshotServer) {
-  Pipeline p(ServiceOptions{}, /*with_server=*/false);
-  for (int64_t i = 0; i < 100; ++i) {
-    p.service->Offer(0, Tuple::Ints({i % 10, i % 5}), 1);
-    p.service->Offer(1, Tuple::Ints({i % 5, i % 3}), 1);
-  }
-  p.service->DrainNow();
-  std::vector<std::tuple<int, int64_t, int64_t, int64_t>> updates;
-  for (int64_t i = 0; i < 100; ++i) {
-    updates.emplace_back(0, i % 10, i % 5, 1);
-    updates.emplace_back(1, i % 5, i % 3, 1);
-  }
-  EXPECT_TRUE(ContentEquals(p.engine->result(), p.ReferenceResult(updates)));
 }
 
 TEST(IngestServiceTest, SmallDifferentialsFoldAfterEveryPublish) {
@@ -392,8 +373,8 @@ TEST(IngestServiceTest, RetriedSequentialApplyDoesNotDoubleApply) {
     });
     return l;
   };
-  Pipeline p(opts, /*with_server=*/true, lifts());
-  Pipeline twin(opts, /*with_server=*/true, lifts());
+  Pipeline p(opts, lifts());
+  Pipeline twin(opts, lifts());
   ASSERT_EQ(p.B, 1u);
 
   auto offer = [](Pipeline& q, int rel, int64_t n, int64_t mod) {

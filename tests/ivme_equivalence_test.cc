@@ -385,27 +385,5 @@ TEST(IvmeEquivalenceTest, F64PayloadsAcrossThresholds) {
   ASSERT_TRUE(CheckInvariants(eb, &err)) << err;
 }
 
-// ApplyDelta must accumulate per-key multiplicities identically to the
-// equivalent single-tuple update sequence.
-TEST(IvmeEquivalenceTest, ApplyDeltaMatchesPerTupleUpdates) {
-  auto ds = TriangleQuery();
-  TriangleEngine<I64Ring> by_delta(*ds->query, ds->r, ds->s, ds->t);
-  TriangleEngine<I64Ring> by_tuple(*ds->query, ds->r, ds->s, ds->t);
-
-  UpdateStream stream = UpdateStream::AdversarialSkew(SmallSkew(33));
-  for (const auto& batch : stream.batches()) {
-    Relation<I64Ring> delta =
-        UpdateStream::ToDelta<I64Ring>(*ds->query, batch);
-    by_delta.ApplyDelta(batch.relation, delta);
-    // The delta relation collapses repeated keys; replay it per entry.
-    delta.ForEach([&](const Tuple& key, const int64_t& m) {
-      by_tuple.ApplyUpdate(batch.relation, key, m);
-    });
-    ASSERT_EQ(by_delta.result(), by_tuple.result());
-  }
-  std::string err;
-  ASSERT_TRUE(CheckInvariants(by_delta, &err)) << err;
-}
-
 }  // namespace
 }  // namespace fivm

@@ -113,7 +113,6 @@ struct Rig {
     server.emplace(&*engine);
     WalWriter::Options wopt;
     wopt.max_segment_bytes = 1024;  // rotate often: "wal.rotate" must fire
-    wopt.sync_dir = false;
     wal.emplace(dir, wopt, rr.last_lsn, rr.update_count);
     ckpt.emplace(dir, &*engine, &*wal);
     ServiceOptions opts;

@@ -396,54 +396,6 @@ TEST(RecoveryTest, DiskFullShedsWindowsGracefully) {
   EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *reference.engine));
 }
 
-TEST(RecoveryTest, StrictModeUpdatesDurableAtAdmission) {
-  TempDir td;
-  constexpr uint64_t kSeed = 60007;
-  constexpr size_t kUpdates = 400;
-  {
-    Rig rig(td.path(), DurabilityPolicy::kStrict);
-    StreamGen gen(kSeed);
-    for (size_t i = 0; i < kUpdates; ++i) {
-      auto u = gen.Next();
-      ASSERT_TRUE(rig.service->Offer(u.relation, u.key, u.mult));
-    }
-    // Every admitted update is already sealed + fsync'd — even though NONE
-    // has been flushed or applied yet.
-    EXPECT_EQ(rig.wal->next_update_index(), kUpdates);
-    EXPECT_EQ(rig.service->GetStats().flushes, 0u);
-    // Crash here (rig dropped with all updates still queued).
-  }
-  Rig recovered;
-  RecoveryResult rr = RecoverInto(&recovered, td.path());
-  EXPECT_EQ(rr.updates_replayed, kUpdates);
-
-  Rig reference;
-  FeedReference(&*reference.engine, reference.query, kSeed, kUpdates);
-  EXPECT_TRUE(exec::StoresContentEqual(*recovered.engine, *reference.engine));
-}
-
-TEST(RecoveryTest, StrictModeCheckpointsOnlyAtQuiescence) {
-  TempDir td;
-  constexpr uint64_t kSeed = 60008;
-  Rig rig(td.path(), DurabilityPolicy::kStrict, /*checkpoint_every=*/1);
-  StreamGen gen(kSeed);
-  for (size_t i = 0; i < 256; ++i) {
-    auto u = gen.Next();
-    ASSERT_TRUE(rig.service->Offer(u.relation, u.key, u.mult));
-  }
-  rig.service->DrainNow();  // final pump leaves queues + batcher empty
-  auto stats = rig.service->GetStats();
-  EXPECT_GE(stats.checkpoints, 1u);
-  EXPECT_EQ(stats.checkpoint_failures, 0u);
-
-  // The newest checkpoint alone reproduces the engine (no replay needed).
-  Rig fresh;
-  auto loaded = LoadNewestCheckpoint(td.path(), &*fresh.engine);
-  ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.meta.update_count, 256u);
-  EXPECT_TRUE(exec::StoresContentEqual(*fresh.engine, *rig.engine));
-}
-
 // A directory fsync that fails after a checkpoint's rename stops the
 // checkpoint there: the WAL segments it would cover and the older checkpoint
 // it would collect all stay, and the next checkpoint recovers exactly.

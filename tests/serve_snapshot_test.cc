@@ -375,36 +375,6 @@ TEST(SnapshotServerTest, RandomizedPublishMergeEquivalence) {
   EXPECT_GT(server.MergeCount(), 1u);
 }
 
-TEST(SnapshotServerTest, MultiStoreSnapshotsAreCrossStoreConsistent) {
-  Fixture f;
-  f.Apply(1, {{10, 5}});
-  int root = f.tree->root();
-  int leaf_r = f.tree->LeafOfRelation(0);
-  Server server(&*f.engine, std::vector<int>{root, leaf_r});
-
-  auto s0 = server.Acquire();
-  ASSERT_EQ(s0.store_count(), 2u);
-  EXPECT_TRUE(ContentEquals(s0.Materialize(0), f.engine->result()));
-  EXPECT_TRUE(ContentEquals(s0.Materialize(1), f.engine->store(leaf_r)));
-
-  // One batch touches both stores; one publish exposes both together.
-  f.Apply(0, {{1, 10}});
-  auto stale = server.Acquire();
-  server.Publish();
-  auto fresh = server.Acquire();
-  EXPECT_EQ(stale.Size(0), 0u);
-  EXPECT_EQ(stale.Size(1), 0u);
-  EXPECT_EQ(fresh.Size(0), 1u);
-  EXPECT_EQ(fresh.Size(1), 1u);
-  EXPECT_TRUE(ContentEquals(fresh.Materialize(0), f.engine->result()));
-  EXPECT_TRUE(ContentEquals(fresh.Materialize(1), f.engine->store(leaf_r)));
-
-  server.MergeNow();
-  auto merged = server.Acquire();
-  EXPECT_TRUE(ContentEquals(merged.Materialize(0), f.engine->result()));
-  EXPECT_TRUE(ContentEquals(merged.Materialize(1), f.engine->store(leaf_r)));
-}
-
 TEST(SnapshotServerTest, ExecutorPostBatchHookPublishesEveryBatch) {
   Fixture f;
   f.Apply(1, {{10, 5}, {11, 5}});

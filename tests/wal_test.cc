@@ -189,7 +189,6 @@ TEST(WalTest, RotationSplitsSegmentsReaderSpansThem) {
   TempDir td("rot");
   WalWriter::Options opt;
   opt.max_segment_bytes = 256;  // force frequent rotation
-  opt.sync_dir = false;
   auto stream = MakeStream(200, 12);
   WalWriter w(td.path(), opt);
   AppendStream(&w, stream, 5);
@@ -203,7 +202,6 @@ TEST(WalTest, TruncateBelowUnlinksCoveredSegments) {
   TempDir td("trunc");
   WalWriter::Options opt;
   opt.max_segment_bytes = 256;
-  opt.sync_dir = false;
   auto stream = MakeStream(200, 13);
   WalWriter w(td.path(), opt);
   AppendStream(&w, stream, 5);
